@@ -7,17 +7,21 @@
 //! at the server's cadence, and `EST` — with a span around each call.
 //!
 //! `EST` is replayed twice: once through the opaque
-//! [`SketchRegistry::estimate_for`] (timed, untraced), and once decomposed
-//! into the layers it is made of — per level, CountSketch candidate
-//! selection, the residual-F₂ error bound, and the g stability probes, then
-//! the recursive assembly — rebuilt from the sketch's own checkpoint
-//! bytes.  The decomposed estimate must equal the opaque one bit for bit,
-//! which is what licenses reading its spans as the query's ledger.
+//! [`SketchRegistry::estimate_for`] (timed, untraced), and once as the
+//! library calls it is made of — per level `cover_with`, then the recursive
+//! assembly `estimate_from_covers` — on the sketch restored from its own
+//! checkpoint bytes.  The two estimates must agree bit for bit, which is
+//! what licenses reading the spans as the query's ledger.
 //!
-//! Sub-layers of `update_batch` (coalesce, row hash, sign hash, CountSketch
-//! and AMS counter updates) are timed on standalone instances built from
-//! the same configuration and seed, fed the same dispatch batches, outside
-//! the request spans.
+//! Sub-layers are timed outside the request spans.  Those of `update_batch`
+//! (coalesce, row hash, sign hash, CountSketch and AMS counter updates) run
+//! on a fresh state's level components, fed the same dispatch batches: the
+//! row hashers re-derived from the level-0 CountSketch's own seed and
+//! configuration, the sign bank with the level AMS's family and size and
+//! an arbitrary seed (the sketch does not expose it, and the cost of a sign
+//! evaluation does not depend on it).  Those of `cover_with` (CountSketch
+//! candidate selection and the residual-F₂ bound) run on the final state's
+//! level components.
 
 use crate::run::Outcome;
 use crate::serving::{build_registry, functions, serve_config, CHECKPOINT_EVERY};
@@ -27,7 +31,7 @@ use crate::workload::Plan;
 use gsum_core::heavy_hitters::{GCover, OnePassHeavyHitter};
 use gsum_core::{OnePassGSumSketch, RecursiveSketch, ReverseHints};
 use gsum_gfunc::{DynG, GFunction};
-use gsum_hash::{derive_seeds, RowHasher, SignHashBank};
+use gsum_hash::{derive_seeds, RowHasher, SignBank, SignHashBank};
 use gsum_serve::{CheckpointEnvelope, SketchRegistry};
 use gsum_sketch::{AmsF2Sketch, CountSketch};
 use gsum_streams::checkpoint::{self, kind, Checkpoint, CheckpointError};
@@ -43,14 +47,16 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Most updates kept for the standalone sub-layer timings.
 const PROBE_UPDATES: usize = 1 << 21;
 
+/// Sign hashes in a level's AMS sketch (64 averages × 5 medians, as
+/// `OnePassHeavyHitter::new` builds it).
+const AMS_COUNTERS: usize = 64 * 5;
+
 /// One per-layer metric: name, value, unit.
 pub type Row = (&'static str, f64, &'static str);
 
 /// One heavy-hitter level taken apart from its checkpoint bytes.
 struct LevelParts {
     candidates: usize,
-    epsilon: f64,
-    columns: usize,
     countsketch: CountSketch,
     ams: AmsF2Sketch,
     hints: ReverseHints,
@@ -86,9 +92,9 @@ fn decompose(bytes: &[u8]) -> Result<Decomposed, CheckpointError> {
 fn level_parts(r: &mut impl Read) -> Result<LevelParts, CheckpointError> {
     checkpoint::read_header(r, kind::ONE_PASS_HEAVY_HITTER)?;
     let _rows = checkpoint::read_len(r)?;
-    let columns = checkpoint::read_len(r)?;
+    let _columns = checkpoint::read_len(r)?;
     let candidates = checkpoint::read_len(r)?;
-    let epsilon = checkpoint::read_f64(r)?;
+    let _epsilon = checkpoint::read_f64(r)?;
     let _envelope_factor = checkpoint::read_f64(r)?;
     let _backend = checkpoint::read_backend(r)?;
     let _sign_family = checkpoint::read_sign_family(r)?;
@@ -96,8 +102,6 @@ fn level_parts(r: &mut impl Read) -> Result<LevelParts, CheckpointError> {
     let _params = checkpoint::read_bounded_bytes(r, 1 << 16, "function parameters")?;
     Ok(LevelParts {
         candidates,
-        epsilon,
-        columns,
         countsketch: CountSketch::restore(r)?,
         ams: AmsF2Sketch::restore(r)?,
         hints: ReverseHints::restore_body(r, hint_cap)?,
@@ -132,67 +136,42 @@ impl GFunction for Counting<'_> {
     }
 }
 
-/// The stability test and weights of Algorithm 2's pruning stage, exactly
-/// as `OnePassHeavyHitter::cover_with` applies them.
-fn prune(g: &dyn GFunction, candidates: &[(u64, f64)], error: f64, epsilon: f64) -> GCover {
-    let stable = |v_hat: i64| {
-        let base = g.eval_signed(v_hat);
-        if base <= 0.0 {
-            return false;
-        }
-        if error < 0.5 {
-            return true;
-        }
-        let err = error.ceil() as i64;
-        [-err, -(err / 2).max(1), -1, 1, (err / 2).max(1), err]
-            .iter()
-            .all(|&y| {
-                let shifted = g.eval_signed(v_hat + y);
-                (base - shifted).abs() <= epsilon * shifted.max(base)
-            })
-    };
-    let pairs = candidates
-        .iter()
-        .filter_map(|&(item, estimate)| {
-            let v_hat = estimate.round() as i64;
-            (v_hat != 0 && stable(v_hat)).then(|| (item, g.eval_signed(v_hat)))
-        })
-        .collect();
-    GCover::from_pairs(pairs)
-}
-
-/// One decomposed `EST`, as a span tree under the open span.
+/// One `EST` as a span tree under the open span: the library's own
+/// per-level `cover_with`, then the recursive assembly.
 fn traced_estimate(t: &mut Tracer, d: &Decomposed, g: &DynG, domain: u64) -> f64 {
     let covers: Vec<GCover> = d
-        .levels
+        .recursive
+        .level_sketches()
         .iter()
-        .map(|level| {
-            t.span("core.cover", |t| {
-                let cs = &level.countsketch;
-                let candidates = t.span("sketch.countsketch.top_candidates", |_| {
-                    if level.hints.is_saturated() {
-                        cs.top_candidates(0..domain, level.candidates)
-                    } else {
-                        cs.top_candidates(
-                            level.hints.iter().filter(|&i| i < domain),
-                            level.candidates,
-                        )
-                    }
-                });
-                let excluded: Vec<u64> = candidates.iter().map(|&(i, _)| i).collect();
-                let residual = t.span("sketch.countsketch.residual_f2", |_| {
-                    cs.residual_f2_excluding(&excluded)
-                });
-                t.span("gfunc.stability", |_| {
-                    let error = 2.0 * (residual.max(0.0) / level.columns as f64).sqrt();
-                    prune(g, &candidates, error, level.epsilon)
-                })
-            })
-        })
+        .map(|level| t.span("core.cover", |_| level.cover_with(g, domain)))
         .collect();
     t.span("core.assemble", |_| {
         d.recursive.estimate_from_covers(&covers).max(0.0)
     })
+}
+
+/// `cover_with`'s function-independent sub-layers, `reps` times over every
+/// level of `d`: CountSketch candidate selection, then the residual-F₂
+/// bound over the items it left out.
+fn probe_cover_sublayers(t: &mut Tracer, d: &Decomposed, domain: u64, reps: usize) {
+    t.set_request(u64::MAX);
+    for _ in 0..reps {
+        for level in &d.levels {
+            let cs = &level.countsketch;
+            let candidates = t.span("sketch.countsketch.top_candidates", |_| {
+                if level.hints.is_saturated() {
+                    cs.top_candidates(0..domain, level.candidates)
+                } else {
+                    cs.top_candidates(level.hints.iter().filter(|&i| i < domain), level.candidates)
+                }
+            });
+            let excluded: Vec<u64> = candidates.iter().map(|&(i, _)| i).collect();
+            let residual = t.span("sketch.countsketch.residual_f2", |_| {
+                cs.residual_f2_excluding(&excluded)
+            });
+            std::hint::black_box(residual);
+        }
+    }
 }
 
 /// The server's per-stream path, replayed in-process.
@@ -317,15 +296,18 @@ struct Probes {
 }
 
 fn probe_sublayers(t: &mut Tracer, plan: &Plan, batches: &[Vec<Update>]) -> Probes {
-    let config = crate::serving::gsum_config(plan.domain, plan.sketch_seed);
     let fresh = build_registry(plan.domain, plan.sketch_seed);
     let name = functions()[0].1.name();
     let mut parts = decompose_function(&fresh, &name);
-    let rows: Vec<RowHasher> = derive_seeds(plan.sketch_seed, config.countsketch_rows)
+    // `CountSketch::new`'s derivation, from the level-0 sketch's own seed.
+    let cs0 = &parts.levels[0].countsketch;
+    let cs_config = cs0.config();
+    let rows: Vec<RowHasher> = derive_seeds(cs0.seed(), cs_config.rows)
         .into_iter()
-        .map(|s| RowHasher::new(config.hash_backend, config.countsketch_columns as u64, s))
+        .map(|s| RowHasher::new(cs_config.backend, cs_config.columns as u64, s))
         .collect();
-    let bank = SignHashBank::from_seeds(&derive_seeds(plan.sketch_seed ^ 1, 64 * 5));
+    let family = parts.levels[0].ams.sign_family();
+    let bank = SignBank::from_seed(family, plan.sketch_seed, AMS_COUNTERS);
     let levels = parts.levels.len();
     let mut p = Probes {
         updates: 0,
@@ -334,7 +316,7 @@ fn probe_sublayers(t: &mut Tracer, plan: &Plan, batches: &[Vec<Update>]) -> Prob
     };
     let mut scratch = Vec::new();
     let (mut cols, mut signs, mut sign_bytes) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut x1, mut x2, mut x3) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut x1, mut x2, mut x3, mut hv) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut routed: Vec<Vec<Update>> = vec![Vec::new(); levels];
     t.set_request(u64::MAX);
     for batch in batches {
@@ -352,17 +334,20 @@ fn probe_sublayers(t: &mut Tracer, plan: &Plan, batches: &[Vec<Update>]) -> Prob
         });
         // Both hash stages are timed at level 0, which sees every distinct
         // key of the batch; deeper levels hash geometrically fewer.
-        t.span("hash.sign", |_| {
-            x1.clear();
-            x2.clear();
-            x3.clear();
-            for &k in &keys {
-                let (a, b, c) = SignHashBank::key_powers(k);
-                x1.push(a);
-                x2.push(b);
-                x3.push(c);
+        t.span("hash.sign", |_| match &bank {
+            SignBank::Polynomial(b) => {
+                x1.clear();
+                x2.clear();
+                x3.clear();
+                for &k in &keys {
+                    let (a, b, c) = SignHashBank::key_powers(k);
+                    x1.push(a);
+                    x2.push(b);
+                    x3.push(c);
+                }
+                b.eval_block(&x1, &x2, &x3, &mut sign_bytes);
             }
-            bank.eval_block(&x1, &x2, &x3, &mut sign_bytes);
+            SignBank::Tabulation(b) => b.eval_block(&keys, &mut hv, &mut sign_bytes),
         });
         for level in routed.iter_mut() {
             level.clear();
@@ -457,16 +442,18 @@ fn replay_ests(t: &mut Tracer, plan: &Plan, state: &SketchRegistry, reps: usize)
 fn replay_sizes(plan: &Plan) -> (usize, usize) {
     match plan.workload {
         crate::workload::Workload::Ingest => (24, 2),
-        crate::workload::Workload::Query => (plan.prep.len(), 2),
+        crate::workload::Workload::Query => (100, 2),
         crate::workload::Workload::Mixed => (400, 10),
     }
 }
 
 /// The streams the ledger replays: the phase `stream_ms` came from, in
-/// send order.
+/// send order.  `query`'s side streams replay into an empty state, not the
+/// restored one they met on the socket: the per-update work does not
+/// depend on the counters it adds to.
 fn replayed_streams(plan: &Plan, max: usize) -> Vec<usize> {
-    if !plan.prep.is_empty() {
-        return plan.prep.iter().copied().take(max).collect();
+    if !plan.side_streams.is_empty() {
+        return plan.side_streams.iter().copied().take(max).collect();
     }
     let longest = plan.timed.iter().map(Vec::len).max().unwrap_or(0);
     (0..longest)
@@ -511,6 +498,9 @@ pub fn measure(
     let stream_and_est = t.by_name();
     let probe_batches = std::mem::take(&mut traced.probe_batches);
     let probes = probe_sublayers(&mut t, plan, &probe_batches);
+    let first = functions()[0].1.name();
+    let d = decompose_function(&outcome.replay, &first);
+    probe_cover_sublayers(&mut t, &d, plan.domain, reps);
     let by = t.by_name();
 
     let mut restore_ms = Vec::new();
@@ -536,11 +526,10 @@ pub fn measure(
             .collect();
         median(&d).unwrap_or(0.0)
     };
-    let n_est = ests.estimate_for_ms.len() as f64;
+    // The cover sub-layer probes ran once per repetition: one `EST`'s worth.
+    let n_cover_probes = reps as f64;
 
     // Saturation and scan work come from the final state's hints.
-    let first = functions()[0].1.name();
-    let d = decompose_function(&outcome.replay, &first);
     let saturated = d.levels.iter().filter(|l| l.hints.is_saturated()).count();
     let scanned: usize = d
         .levels
@@ -621,12 +610,12 @@ pub fn measure(
         ),
         (
             "sketch.countsketch.top_candidates_ms",
-            total("sketch.countsketch.top_candidates") / 1e6 / n_est,
+            total("sketch.countsketch.top_candidates") / 1e6 / n_cover_probes,
             "ms",
         ),
         (
             "sketch.countsketch.residual_f2_ms",
-            total("sketch.countsketch.residual_f2") / 1e6 / n_est,
+            total("sketch.countsketch.residual_f2") / 1e6 / n_cover_probes,
             "ms",
         ),
         (

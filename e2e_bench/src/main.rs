@@ -20,7 +20,7 @@
 //! per-layer rows) to `.bench_out/`, both under the working directory.
 
 use gsum_e2e_bench::report::{self, Measured, END_TO_END};
-use gsum_e2e_bench::stats::{median, quartiles, relative_spread};
+use gsum_e2e_bench::stats::{median, nearest_rank, quartiles, relative_spread};
 use gsum_e2e_bench::workload::{Plan, Workload};
 use gsum_e2e_bench::{ledger, run, server};
 use std::path::{Path, PathBuf};
@@ -107,10 +107,13 @@ fn run_once(workload: Workload, seed: u64, seconds: u64, trace: bool) -> Result<
         );
     }
 
-    let provenance = report::provenance(&plan, seconds, trace, &e2e);
+    let provenance = report::provenance(&plan, seconds, trace, &e2e, outcome.stale_acks);
     println!("{provenance}");
     for m in &e2e {
         println!("{}", report::describe(m));
+    }
+    if let Some((p50, _)) = nearest_rank(&outcome.est_ms, 50) {
+        println!("est_ms_p50 {p50:>25.6} ms  (printed, not bounded)");
     }
     let errors: Vec<String> = outcome
         .rel_err

@@ -63,14 +63,22 @@ const fn def(
 /// per function in the per-layer ledger) but carries no bound: it is one
 /// draw of a randomized estimator, and across workload seeds it varies by
 /// more than any bound a regression check could use.
+///
+/// `EST` latency is bounded at its p10 and p90, and its median is only
+/// printed.  At domain 2^16 one `EST` is ~110 ms of cache-heavy work, and
+/// on a shared 2-core host it runs in two speed modes about 35% apart, in
+/// spells of seconds that cover a quarter to three quarters of a run.  The
+/// median flips between the modes from run to run (interquartile spreads
+/// of 0.21–0.26 over ten seeds), while the p10 (the undisturbed cost) and
+/// the p90 (the disturbed one) each stay within about 0.1.
 pub const END_TO_END: [MetricDef; 8] = [
     def("ingest_mupd_s", "Mupd/s", Better::Higher, 0.25, false),
     def("stream_ms_p50", "ms", Better::Lower, 0.25, false),
     def("stream_ms_p90", "ms", Better::Lower, 0.25, false),
-    def("est_ms_p50", "ms", Better::Lower, 0.25, false),
+    def("est_ms_p10", "ms", Better::Lower, 0.25, false),
     def("est_ms_p90", "ms", Better::Lower, 0.25, false),
     def("setup_s", "s", Better::Lower, 0.25, false),
-    def("server_peak_rss_mb", "MiB", Better::Lower, 0.1, false),
+    def("server_peak_rss_mb", "MiB", Better::Lower, 0.15, false),
     def("state_bytes", "bytes", Better::Lower, 0.05, true),
 ];
 
@@ -129,7 +137,7 @@ pub fn end_to_end(outcome: &Outcome) -> Vec<Measured> {
     let pct = |values: &[f64], p: usize| nearest_rank(values, p).unwrap_or((f64::NAN, 0));
     let (s50, s50b) = pct(&outcome.stream_ms, 50);
     let (s90, s90b) = pct(&outcome.stream_ms, 90);
-    let (e50, e50b) = pct(&outcome.est_ms, 50);
+    let (e10, e10b) = pct(&outcome.est_ms, 10);
     let (e90, e90b) = pct(&outcome.est_ms, 90);
     let ns = outcome.stream_ms.len();
     let ne = outcome.est_ms.len();
@@ -156,7 +164,7 @@ pub fn end_to_end(outcome: &Outcome) -> Vec<Measured> {
         ),
         m("stream_ms_p50", s50, Some(ns), Some(s50b)),
         m("stream_ms_p90", s90, Some(ns), Some(s90b)),
-        m("est_ms_p50", e50, Some(ne), Some(e50b)),
+        m("est_ms_p10", e10, Some(ne), Some(e10b)),
         m("est_ms_p90", e90, Some(ne), Some(e90b)),
         m(
             "setup_s",
@@ -255,8 +263,15 @@ pub fn avx512_sign_kernel() -> bool {
 }
 
 /// The provenance object: commit, host, codegen, seed, server
-/// configuration, and the sample count of every timing.
-pub fn provenance(plan: &Plan, seconds: u64, trace: bool, timings: &[Measured]) -> String {
+/// configuration, the sample count of every timing, and how many `OK`
+/// acks lagged a concurrent `EST` flush (see `run::Tally::stale_acks`).
+pub fn provenance(
+    plan: &Plan,
+    seconds: u64,
+    trace: bool,
+    timings: &[Measured],
+    stale_acks: u64,
+) -> String {
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let host = std::fs::read_to_string("/proc/sys/kernel/hostname")
         .map(|h| h.trim().to_string())
@@ -273,7 +288,8 @@ pub fn provenance(plan: &Plan, seconds: u64, trace: bool, timings: &[Measured]) 
          \"workload\": {}, \"seed\": {}, \"sketch_seed\": {}, \"seconds\": {seconds}, \"trace\": {trace}, \
          \"server\": {{\"workers\": {WORKERS}, \"checkpoint_every\": {CHECKPOINT_EVERY}, \
          \"hint_cap\": {}, \"epsilon\": {EPSILON}, \"columns\": {COLUMNS}, \"domain\": {}, \
-         \"policy\": \"MergeCompleted\", \"functions\": [{}]}}, \"samples\": {{{}}}}}}}",
+         \"policy\": \"MergeCompleted\", \"functions\": [{}]}}, \"samples\": {{{}}}, \
+         \"stale_acks\": {stale_acks}}}}}",
         json_str(&git_commit()),
         json_str(&host),
         avx512_sign_kernel(),

@@ -29,7 +29,8 @@ pub struct Tally {
     /// shard flush races a stream's end: the query takes the shard, the
     /// stream's own flush then finds it empty and acks the durable count
     /// before the query's fold lands.  The final `COUNT` and `EST` bits
-    /// still have to match exactly, so these are logged, not failed.
+    /// still have to match exactly, so these are not failures: they are
+    /// counted in every run's provenance and logged.
     pub stale_acks: AtomicU64,
 }
 
@@ -203,26 +204,16 @@ impl StreamLoop<'_> {
     }
 }
 
-/// Send `rounds` rounds of one `EST` per function, closed loop.  When
-/// `expect` is given, every reply must equal its bits.
-fn est_rounds(
-    conn: &mut Conn,
-    rounds: usize,
-    expect: Option<&[u64]>,
-    tally: &Tally,
-    est_ms: &mut Vec<f64>,
-) -> Vec<u64> {
+/// Send `rounds` rounds of one `EST` per function, closed loop, untimed.
+/// When `expect` is given, every reply must equal its bits.
+fn est_rounds(conn: &mut Conn, rounds: usize, expect: Option<&[u64]>, tally: &Tally) -> Vec<u64> {
     let names = crate::serving::function_names();
     let mut last = vec![0u64; names.len()];
     for _ in 0..rounds {
         for (i, name) in names.iter().enumerate() {
-            let t0 = Instant::now();
-            let reply = conn.est(name);
-            let ms = ms_between(t0, Instant::now());
-            let error = match reply {
+            let error = match conn.est(name) {
                 Ok(bits) => {
                     last[i] = bits;
-                    est_ms.push(ms);
                     expect.and_then(|e| {
                         (e[i] != bits).then(|| {
                             format!(
@@ -297,13 +288,7 @@ fn set_up(
         warm_updates += lp.run(conn, streams).acked;
     }
     let expect = (plan.workload == Workload::Query).then_some(expected_bits);
-    est_rounds(
-        &mut est_conn,
-        plan.warmup_est_rounds,
-        expect,
-        tally,
-        &mut Vec::new(),
-    );
+    est_rounds(&mut est_conn, plan.warmup_est_rounds, expect, tally);
     let secs = t0.elapsed().as_secs_f64();
     let served = Served {
         server,
@@ -349,12 +334,7 @@ pub fn run(plan: &Plan, dir: &Path) -> Result<Outcome, String> {
             started: &started,
             base: 0,
         };
-        let t0 = Instant::now();
-        let r = lp.run(&mut conn, &plan.prep);
-        stream_wall_s = ms_between(t0, r.end.unwrap_or(t0)) / 1e3;
-        stream_ms = r.stream_ms;
-        lag_ms.extend(r.lag_ms);
-        stream_updates = r.acked;
+        lp.run(&mut conn, &plan.prep);
         drop(conn);
         server.quit()?;
     }
@@ -371,17 +351,12 @@ pub fn run(plan: &Plan, dir: &Path) -> Result<Outcome, String> {
         durable,
     } = served;
 
-    // Timed phase, in `SEGMENTS` consecutive segments.  After each one every
-    // connection is idle while `interleaved_est_rounds` of `EST` run (query
-    // samples for a write-only workload, spread over the whole run) and one
+    // Timed phase, in `SEGMENTS` consecutive segments.  After each one, one
     // more set-up is timed on a server of its own.
     let pid = server.pid();
     let cpu0 = procfs::cpu_seconds(pid).ok_or("read server /proc stat")?;
     let mut cpu_s = 0.0;
     let mut seg_base = durable;
-    let mut timed_stream_ms = Vec::new();
-    let mut timed_updates = 0u64;
-    let mut timed_wall_s = 0.0;
     for seg in 0..SEGMENTS {
         // Acks of earlier segments are all in: each segment's bounds start
         // from the durable count they reached.
@@ -425,38 +400,51 @@ pub fn run(plan: &Plan, dir: &Path) -> Result<Outcome, String> {
         });
         let mut end = t0;
         for r in loops {
-            timed_stream_ms.extend(r.stream_ms);
+            stream_ms.extend(r.stream_ms);
             lag_ms.extend(r.lag_ms);
-            timed_updates += r.acked;
+            stream_updates += r.acked;
             seg_base += r.acked;
             end = end.max(r.end.unwrap_or(t0));
         }
-        timed_wall_s += ms_between(t0, end) / 1e3;
+        stream_wall_s += ms_between(t0, end) / 1e3;
         est_ms.extend(ests.0);
         lag_ms.extend(ests.1);
-        est_rounds(
-            &mut est_conn,
-            plan.interleaved_est_rounds,
-            None,
-            &tally,
-            &mut est_ms,
-        );
         // The timed server's CPU time covers its segments, not the set-ups
-        // that follow them.
+        // that follow them nor the `EST`s on the final state.
         let cpu = procfs::cpu_seconds(pid).ok_or("read server /proc stat")?;
         cpu_s = cpu - cpu0;
 
         let ckpt = dir.join(format!("setup-{seg}.ckpt"));
-        let (side, secs) = set_up(plan, &tally, &expected_bits, prep_envelope, &ckpt)?;
+        let (mut side, secs) = set_up(plan, &tally, &expected_bits, prep_envelope, &ckpt)?;
         setup_s.push(secs);
+        // A read-only workload's stream samples: sent to the side server
+        // once its set-up is timed, so they spread over the run as its
+        // queries do instead of sharing one window of it.
+        let side_part = segment(&plan.side_streams, seg);
+        if !side_part.is_empty() {
+            let started = AtomicU64::new(0);
+            let lp = StreamLoop {
+                plan,
+                tally: &tally,
+                started: &started,
+                base: side.durable,
+            };
+            let t0 = Instant::now();
+            let r = lp.run(&mut side.est_conn, side_part);
+            stream_wall_s += ms_between(t0, r.end.unwrap_or(t0)) / 1e3;
+            stream_ms.extend(r.stream_ms);
+            lag_ms.extend(r.lag_ms);
+            stream_updates += r.acked;
+        }
         side.quit()?;
         std::fs::remove_file(&ckpt).map_err(|e| format!("remove {ckpt:?}: {e}"))?;
     }
-    if !plan.timed.is_empty() {
-        stream_ms = timed_stream_ms;
-        stream_updates = timed_updates;
-        stream_wall_s = timed_wall_s;
-    }
+
+    // A write-only workload's query samples: closed loop on the final
+    // state, which the replay's bits describe exactly.
+    let (lat, lag) = closed_loop_ests(&mut est_conn, 0..plan.final_ests, &expected_bits, &tally);
+    est_ms.extend(lat);
+    lag_ms.extend(lag);
 
     // Correctness gate: the durable count, then every function's bits
     // against the single-threaded replay.
@@ -470,17 +458,7 @@ pub fn run(plan: &Plan, dir: &Path) -> Result<Outcome, String> {
             Err(e) => Some(e.to_string()),
         },
     );
-    let mut final_ms = Vec::new();
-    let finals = est_rounds(
-        &mut est_conn,
-        1,
-        Some(&expected_bits),
-        &tally,
-        &mut final_ms,
-    );
-    if plan.timed_ests == 0 && plan.est_rate.is_none() {
-        est_ms.extend(final_ms);
-    }
+    let finals = est_rounds(&mut est_conn, 1, Some(&expected_bits), &tally);
     let peak_rss_mib = procfs::peak_rss_mib(pid).ok_or("read server /proc status")?;
     drop(conns);
     drop(est_conn);

@@ -1,7 +1,8 @@
 //! Summary statistics with the benchmark's reporting rules.
 //!
 //! A timing percentile is only reported when at least [`MIN_BEYOND`]
-//! samples lie beyond it, so a p90 needs 100 samples.  Quartiles follow
+//! samples lie beyond it — above a percentile from the median up, below
+//! one under the median — so a p90 needs 100 samples and a p10 101.  Quartiles follow
 //! Python's `statistics.quantiles(values, n=4)` (the default "exclusive"
 //! method), which is how run-to-run spread is judged.
 
@@ -27,7 +28,8 @@ fn rank_of(pct: usize, n: usize) -> usize {
 }
 
 /// Nearest-rank percentile `pct` (1..=99): the sample at rank
-/// `ceil(pct·n/100)`, together with the number of samples beyond it.
+/// `ceil(pct·n/100)`, together with the number of samples beyond it (above
+/// it for `pct ≥ 50`, below it otherwise).
 pub fn nearest_rank(values: &[f64], pct: usize) -> Option<(f64, usize)> {
     let sorted = sorted(values);
     let n = sorted.len();
@@ -35,14 +37,24 @@ pub fn nearest_rank(values: &[f64], pct: usize) -> Option<(f64, usize)> {
         return None;
     }
     let rank = rank_of(pct, n);
-    Some((sorted[rank - 1], n - rank))
+    Some((sorted[rank - 1], beyond(pct, rank, n)))
+}
+
+/// Samples beyond the sample at `rank` of `n`, on the side away from the
+/// median.
+fn beyond(pct: usize, rank: usize, n: usize) -> usize {
+    if pct >= 50 {
+        n - rank
+    } else {
+        rank - 1
+    }
 }
 
 /// The smallest sample count that puts at least [`MIN_BEYOND`] samples
-/// beyond percentile `pct` (100 for a p90, 20 for a p50).
+/// beyond percentile `pct` (100 for a p90, 20 for a p50, 101 for a p10).
 pub fn samples_needed(pct: usize) -> usize {
     (1..)
-        .find(|&n| n - rank_of(pct, n) >= MIN_BEYOND)
+        .find(|&n| beyond(pct, rank_of(pct, n), n) >= MIN_BEYOND)
         .expect("every percentile below 100 resolves eventually")
 }
 
@@ -94,6 +106,10 @@ mod tests {
         assert_eq!(nearest_rank(&ramp(99), 90), Some((90.0, 9)));
         assert_eq!(nearest_rank(&ramp(100), 90), Some((90.0, 10)));
         assert_eq!(nearest_rank(&ramp(250), 90), Some((225.0, 25)));
+        // A p10 counts the samples below it.
+        assert_eq!(samples_needed(10), 101);
+        assert_eq!(nearest_rank(&ramp(100), 10), Some((10.0, 9)));
+        assert_eq!(nearest_rank(&ramp(101), 10), Some((11.0, 10)));
     }
 
     #[test]

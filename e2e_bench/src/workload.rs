@@ -2,8 +2,9 @@
 //! workload seed.
 //!
 //! Every run is **fixed work**: the number of streams and closed-loop
-//! queries is a function of `--seconds` (sized so one run takes about that
-//! long on a 2-core host) and never of how fast the server happens to be,
+//! queries is a function of `--seconds` (sized so the timed work takes
+//! about that long on a 2-core host; set-ups and checks come on top) and
+//! never of how fast the server happens to be,
 //! so the final state — and with it `state_bytes` and `rel_err_max` — is
 //! the same on every run with the same seed and seconds.  Only the
 //! open-loop `EST`s of `mixed` run for as long as its streams take; a
@@ -54,9 +55,11 @@ impl Workload {
 /// Timed-phase streams per second of `--seconds` on `ingest`.
 const INGEST_STREAMS_PER_S: f64 = 30.0;
 /// Timed-phase `EST`s per second of `--seconds` on `query`.
-const QUERY_ESTS_PER_S: f64 = 7.5;
+const QUERY_ESTS_PER_S: f64 = 10.0;
+/// Streams `query` sends to its side set-ups' servers, over the whole run.
+const QUERY_SIDE_STREAMS: usize = 300;
 /// Timed-phase streams per second of `--seconds` on `mixed`.
-const MIXED_STREAMS_PER_S: f64 = 500.0;
+const MIXED_STREAMS_PER_S: f64 = 650.0;
 /// Consecutive segments the timed phase is cut into.  One set-up precedes
 /// the timed phase and serves it; one more, on a server of its own, follows
 /// each segment, so `setup_s` (the median of all of them) samples the whole
@@ -86,6 +89,11 @@ pub struct Plan {
     /// `query` only: streams sent on one connection, to a server of their
     /// own, to build the envelope the setups restore.
     pub prep: Vec<usize>,
+    /// `query` only: streams sent after each side set-up is timed, to that
+    /// set-up's server (split evenly over the segments).  They are where a
+    /// workload without timed streams gets its stream samples; they never
+    /// reach the served state.
+    pub side_streams: Vec<usize>,
     /// Streams each setup sends during warm-up, per stream connection.
     pub warmup: Vec<Vec<usize>>,
     /// `EST` rounds (one per function) each setup sends during warm-up.
@@ -99,18 +107,21 @@ pub struct Plan {
     /// streams are in flight.  They stop when the streams end, so every one
     /// of them contends with ingest however fast ingest runs.
     pub est_rate: Option<f64>,
-    /// `EST` rounds after each segment (closed loop, stream connections
-    /// idle).  Only a workload without timed queries uses them: they are
-    /// where its `est_ms` samples come from, together with the final check.
-    pub interleaved_est_rounds: usize,
+    /// Closed-loop `EST`s (round-robin over the functions) on the final
+    /// state, after the timed phase and outside it.  Only a workload
+    /// without timed queries sends them: they are where its `est_ms`
+    /// samples come from, and each must equal the replay's bits.
+    pub final_ests: usize,
 }
 
 impl Plan {
     /// The plan for `workload` at `seed`, sized for `seconds`.
     pub fn new(workload: Workload, seed: u64, seconds: u64) -> Self {
         let s = seconds.max(1) as f64;
-        // Every timing with a reported p90 gets enough samples to resolve it.
+        // Every timing with a reported p90 gets enough samples to resolve it,
+        // and `EST` timings their p10 too.
         let p90_samples = samples_needed(90);
+        let est_samples = p90_samples.max(samples_needed(10));
         let (domain, stream_len, pool_len) = match workload {
             Workload::Ingest => (1u64 << 16, 1usize << 17, 16usize),
             Workload::Query => (1 << 16, 1 << 16, 32),
@@ -132,12 +143,13 @@ impl Plan {
             pool,
             encoded,
             prep: Vec::new(),
+            side_streams: Vec::new(),
             warmup: Vec::new(),
             warmup_est_rounds: 0,
             timed: Vec::new(),
             timed_ests: 0,
             est_rate: None,
-            interleaved_est_rounds: 0,
+            final_ests: 0,
         };
         match workload {
             Workload::Ingest => {
@@ -148,13 +160,15 @@ impl Plan {
                     all.iter().step_by(2).copied().collect(),
                     all.iter().skip(1).step_by(2).copied().collect(),
                 ];
-                plan.interleaved_est_rounds = 2;
+                plan.final_ests = est_samples.next_multiple_of(3);
             }
             Workload::Query => {
                 plan.prep = cycle((3 * pool_len).max(p90_samples), 0);
+                // Enough that the stream p90 has 30 samples beyond it.
+                plan.side_streams = cycle(QUERY_SIDE_STREAMS, 0);
                 plan.warmup_est_rounds = 1;
                 let per_fn = (s * QUERY_ESTS_PER_S / 3.0).ceil() as usize;
-                plan.timed_ests = (3 * per_fn).max(p90_samples).next_multiple_of(3);
+                plan.timed_ests = (3 * per_fn).max(est_samples).next_multiple_of(3);
             }
             Workload::Mixed => {
                 plan.warmup = vec![cycle(8, 0)];
@@ -258,11 +272,23 @@ mod tests {
         let sent: i64 = p.multiplicities().iter().sum();
         assert_eq!(sent as usize, 8 + p.timed[0].len());
         let q = Plan::new(Workload::Query, 1, 1);
-        // 100 prep streams (a p90 needs 100 samples) cycle a pool of 32.
+        // 100 prep streams (a p90 needs 100 samples) cycle a pool of 32;
+        // the side streams never reach the served state.
         let mut times = vec![3; q.pool.len()];
         times[..4].fill(4);
         assert_eq!(q.multiplicities(), times);
         assert_eq!(q.total_updates(), 100 << 16);
+        assert_eq!(q.side_streams.len(), 300);
         assert!(q.timed_ests >= 100 && q.timed_ests.is_multiple_of(3));
+    }
+
+    #[test]
+    fn only_ingest_queries_its_final_state_and_enough_for_a_p90() {
+        let i = Plan::new(Workload::Ingest, 1, 1);
+        assert!(i.final_ests >= 100 && i.final_ests.is_multiple_of(3));
+        assert_eq!((i.timed_ests, i.est_rate), (0, None));
+        for w in [Workload::Query, Workload::Mixed] {
+            assert_eq!(Plan::new(w, 1, 1).final_ests, 0);
+        }
     }
 }
