@@ -64,6 +64,15 @@ impl<G: GFunction + Clone> OnePassGSumSketch<G> {
     /// enters only at query time, inside the per-level covers — so a single
     /// substrate can answer for any function in the class.  For the wrapped
     /// function this is bit-identical to [`estimate`](Self::estimate).
+    ///
+    /// **Memoized per level.** Each level computes its g-independent query
+    /// plan (top candidates, their estimates and the residual error bound)
+    /// on the first query of a state and keeps it for every later query,
+    /// whatever the function — see [`OnePassHeavyHitter::cover_with`].  A
+    /// state queried for K functions therefore scans its candidates once,
+    /// not K times.  `update`, `update_batch` and `merge` drop the plans
+    /// of the levels they reach; clones and restored states start without
+    /// them.  Answers are bit-identical to a never-queried state.
     pub fn estimate_with<F: GFunction + ?Sized>(&self, g: &F) -> f64 {
         let domain = self.inner.domain();
         let covers: Vec<_> = self

@@ -27,7 +27,9 @@ use gsum_hash::{HashBackend, SignFamily};
 use gsum_sketch::{AmsF2Sketch, CountSketch, CountSketchConfig, FrequencySketch};
 use gsum_streams::checkpoint::{self, kind, Checkpoint, CheckpointError};
 use gsum_streams::{IngestScratch, MergeError, MergeableSketch, StreamSink, Update};
+use std::fmt;
 use std::io::{Read, Write};
+use std::sync::OnceLock;
 
 /// Configuration knobs for [`OnePassHeavyHitter`] (usually derived from
 /// [`crate::GSumConfig`]).
@@ -149,6 +151,43 @@ impl OnePassHeavyHitterConfig {
     }
 }
 
+/// A level's g-independent query plan: Algorithm 2's candidate set `Ŝ`
+/// with its estimates `V̂`, and the residual error bound they leave.  Only
+/// the stability pruning and the weights `g(v̂)` depend on the function, so
+/// one plan serves every function queried against the same state.
+#[derive(Debug)]
+struct QueryPlan {
+    /// The domain the candidates were drawn from (the memo's key).
+    domain: u64,
+    candidates: Vec<(u64, f64)>,
+    error: f64,
+}
+
+/// The computed-once [`QueryPlan`] cell.  Transient by type, like
+/// [`IngestScratch`]: it is never saved, merged or compared, its `Clone`
+/// starts empty and its `Debug` elides the contents.  Every `&mut self`
+/// path of the owning sketch clears it, and restore builds a fresh one.
+#[derive(Default)]
+struct PlanMemo(OnceLock<QueryPlan>);
+
+impl PlanMemo {
+    fn clear(&mut self) {
+        self.0.take();
+    }
+}
+
+impl Clone for PlanMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl fmt::Debug for PlanMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("PlanMemo { .. }")
+    }
+}
+
 /// The Algorithm-2 heavy-hitter sketch for a function `g`.
 #[derive(Debug, Clone)]
 pub struct OnePassHeavyHitter<G> {
@@ -162,6 +201,8 @@ pub struct OnePassHeavyHitter<G> {
     hints: ReverseHints,
     /// Reused coalesce scratch for `update_batch`.
     scratch: IngestScratch<Vec<Update>>,
+    /// The memoized query plan of the current state.
+    plan: PlanMemo,
 }
 
 impl<G: GFunction> OnePassHeavyHitter<G> {
@@ -204,6 +245,7 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
             ams,
             hints,
             scratch: IngestScratch::default(),
+            plan: PlanMemo::default(),
         }
     }
 
@@ -268,21 +310,14 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
         true
     }
 
-    /// [`cover`](HeavyHitterSketch::cover) evaluated under an *external*
-    /// function instead of the wrapped one.
-    ///
-    /// The ingest path never touches `g` — the CountSketch, AMS sketch and
-    /// reverse hints are pure frequency structure — so one absorbed substream
-    /// can answer the heavy-hitter question for any function in `G`.  This is
-    /// the primitive the serving layer's multi-function registry builds on:
-    /// one shared substrate, K query-time functions.
-    pub fn cover_with<F: GFunction + ?Sized>(&self, g: &F, domain: u64) -> GCover {
-        // Candidate identification scans the observed support (the reverse
-        // hints) instead of the whole domain whenever the hint budget held;
-        // only the items that actually carry mass can be heavy, and
-        // `top_candidates` imposes a total order, so the selection is
-        // deterministic regardless of hint iteration order.  A saturated
-        // sketch falls back to the exhaustive domain scan.
+    /// The g-independent half of Algorithm 2 over `domain`: the top
+    /// candidates and the residual error bound.  Candidate identification
+    /// scans the observed support (the reverse hints) instead of the whole
+    /// domain whenever the hint budget held; only the items that actually
+    /// carry mass can be heavy, and `top_candidates` imposes a total order,
+    /// so the selection is deterministic regardless of hint iteration
+    /// order.  A saturated sketch falls back to the exhaustive domain scan.
+    fn compute_plan(&self, domain: u64) -> QueryPlan {
         let candidates = if self.hints.is_saturated() {
             self.countsketch
                 .top_candidates(0..domain, self.config.candidates)
@@ -293,13 +328,48 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
             )
         };
         let error = self.residual_error_bound(&candidates);
-        let mut pairs = Vec::with_capacity(candidates.len());
-        for (item, estimate) in candidates {
+        QueryPlan {
+            domain,
+            candidates,
+            error,
+        }
+    }
+
+    /// [`cover`](HeavyHitterSketch::cover) evaluated under an *external*
+    /// function instead of the wrapped one.
+    ///
+    /// The ingest path never touches `g` — the CountSketch, AMS sketch and
+    /// reverse hints are pure frequency structure — so one absorbed substream
+    /// can answer the heavy-hitter question for any function in `G`.  This is
+    /// the primitive the serving layer's multi-function registry builds on:
+    /// one shared substrate, K query-time functions.
+    ///
+    /// **Memoized.** The g-independent query plan — the CountSketch's top
+    /// candidates with their estimates and the residual error bound — is
+    /// computed by the first call on a state and reused by every later call
+    /// with the same `domain`, whatever the function; each call then only
+    /// runs the stability pruning and `g(v̂)` over at most
+    /// `config.candidates` items.  `update`, `update_batch` and `merge`
+    /// invalidate the plan, a clone or a restored sketch starts without one,
+    /// and a call with another `domain` computes its plan without caching
+    /// it.  The memo never changes an answer: the covers are bit-identical
+    /// to a sketch that was never queried.
+    pub fn cover_with<F: GFunction + ?Sized>(&self, g: &F, domain: u64) -> GCover {
+        let cached = self.plan.0.get_or_init(|| self.compute_plan(domain));
+        let uncached;
+        let plan = if cached.domain == domain {
+            cached
+        } else {
+            uncached = self.compute_plan(domain);
+            &uncached
+        };
+        let mut pairs = Vec::with_capacity(plan.candidates.len());
+        for &(item, estimate) in &plan.candidates {
             let v_hat = estimate.round() as i64;
             if v_hat == 0 {
                 continue;
             }
-            if self.is_stable(g, v_hat, error) {
+            if self.is_stable(g, v_hat, plan.error) {
                 pairs.push((item, g.eval_signed(v_hat)));
             }
         }
@@ -338,6 +408,7 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
 
 impl<G: GFunction> StreamSink for OnePassHeavyHitter<G> {
     fn update(&mut self, update: Update) {
+        self.plan.clear();
         self.hints.record(update.item);
         self.countsketch.update(update);
         self.ams.update(update);
@@ -354,6 +425,7 @@ impl<G: GFunction> StreamSink for OnePassHeavyHitter<G> {
     /// coalescing keeps net-zero items and saturation is order-insensitive,
     /// so the observed set matches a per-update replay exactly.
     fn update_batch(&mut self, updates: &[Update]) {
+        self.plan.clear();
         let coalesced = gsum_streams::coalesce_into(updates, &mut self.scratch.buf);
         self.hints.record_batch(coalesced.iter().map(|u| u.item));
         self.countsketch.update_batch(coalesced);
@@ -370,6 +442,7 @@ impl<G: GFunction> MergeableSketch for OnePassHeavyHitter<G> {
                 "one-pass heavy-hitter merge requires identical configuration",
             ));
         }
+        self.plan.clear();
         self.countsketch.merge(&other.countsketch)?;
         self.ams.merge(&other.ams)?;
         self.hints.merge_from(&other.hints);
@@ -556,6 +629,24 @@ mod tests {
             assert!(uncapped_cover.contains(item), "hint cover lost {item}");
             assert_eq!(capped_cover.weight(item), uncapped_cover.weight(item));
         }
+    }
+
+    #[test]
+    fn memoized_plan_is_keyed_on_the_domain() {
+        // A capped hint set forces the domain scan, where the domain
+        // argument decides the candidate set.
+        let stream = planted_stream();
+        let mut cfg = config();
+        cfg.hint_cap = 4;
+        let mut warm = OnePassHeavyHitter::new(PowerFunction::new(2.0), cfg, 41);
+        warm.update_batch(stream.updates());
+        let cold = warm.clone();
+        let g = PowerFunction::new(2.0);
+        let full = warm.cover_with(&g, 1 << 10);
+        let narrow = warm.cover_with(&g, 150);
+        assert_eq!(narrow, cold.cover_with(&g, 150));
+        assert!(!narrow.contains(200) && full.contains(200));
+        assert_eq!(warm.cover_with(&g, 1 << 10), full);
     }
 
     #[test]

@@ -97,8 +97,11 @@ impl ReverseHints {
     }
 
     /// Iterate over the stored hints (arbitrary order; callers that need
-    /// determinism must impose their own total order, as
-    /// `CountSketch::top_candidates` does).
+    /// determinism must impose their own total order, as the heavy
+    /// hitters' candidate scan
+    /// [`CountSketch::top_candidates`](gsum_sketch::CountSketch::top_candidates)
+    /// does — decreasing `|estimate|`, then increasing item — so its output
+    /// is independent of the order the hints arrive in).
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.seen.iter().copied()
     }

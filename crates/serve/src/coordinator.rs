@@ -192,14 +192,29 @@ impl<S: ServableSketch> MergeCoordinator<S> {
     /// concurrent folds serialize on the state lock, and linearity makes
     /// their order irrelevant to the resulting bytes.
     pub fn fold(&self, client: &S, updates: u64) -> Result<FoldOutcome, ServeError> {
+        let (outcome, due) = self.merge(client, updates)?;
+        self.publish_due(due)?;
+        Ok(outcome)
+    }
+
+    /// The in-memory half of [`fold`](Self::fold): merge under the state
+    /// lock and return the snapshot envelope if the cadence came due,
+    /// without writing it.  The caller hands the envelope to
+    /// [`publish_due`](Self::publish_due), so it can release its own locks
+    /// before the disk write.
+    pub(crate) fn merge(
+        &self,
+        client: &S,
+        updates: u64,
+    ) -> Result<(FoldOutcome, Option<CheckpointEnvelope>), ServeError> {
         let mut st = self.lock();
         if self.crashed() {
-            return Ok(FoldOutcome::CrashInjected);
+            return Ok((FoldOutcome::CrashInjected, None));
         }
         if let Some(limit) = self.crash_after {
             if st.durable_count + updates > limit {
                 self.crashed.store(true, Ordering::SeqCst);
-                return Ok(FoldOutcome::CrashInjected);
+                return Ok((FoldOutcome::CrashInjected, None));
             }
         }
         st.sketch.merge(client)?;
@@ -218,11 +233,16 @@ impl<S: ServableSketch> MergeCoordinator<S> {
         } else {
             None
         };
-        drop(st);
-        if let Some(envelope) = due {
-            self.publish(&envelope)?;
+        Ok((FoldOutcome::Merged { durable }, due))
+    }
+
+    /// The disk half of [`fold`](Self::fold): write the envelope
+    /// [`merge`](Self::merge) returned, if any.
+    pub(crate) fn publish_due(&self, due: Option<CheckpointEnvelope>) -> Result<(), ServeError> {
+        match due {
+            Some(envelope) => self.publish(&envelope),
+            None => Ok(()),
         }
-        Ok(FoldOutcome::Merged { durable })
     }
 
     /// Record a client stream folded to clean completion.  The reactor
@@ -292,6 +312,17 @@ impl<S: ServableSketch> MergeCoordinator<S> {
         drop(publisher);
         self.lock().stats.snapshots_written += 1;
         Ok(())
+    }
+
+    /// Run `f` while holding the publisher lock, standing in for a
+    /// snapshot write that is slow to reach the disk.
+    #[cfg(test)]
+    pub(crate) fn with_publisher_held<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _publishing = self
+            .publisher
+            .lock()
+            .expect("snapshot publisher lock poisoned");
+        f()
     }
 
     /// Drive one framed client stream to its end: pipeline-ingest it in

@@ -80,9 +80,19 @@ enum FoldMode {
     WholeStream,
 }
 
-/// A fold worker's shard: the accumulator sketch plus how many updates it
-/// holds that the published serving state does not.
+/// A fold worker's shard.  Two locks with two jobs: `acc` guards the
+/// accumulator the worker absorbs into (held only for one absorb or one
+/// take), and `fold_lock` serializes take→fold, so a flush that finds the
+/// shard empty knows every earlier take has already landed in the
+/// published serving state.
 struct Shard<S> {
+    acc: Mutex<ShardAcc<S>>,
+    fold_lock: Mutex<()>,
+}
+
+/// A shard's accumulator sketch plus how many updates it holds that the
+/// published serving state does not.
+struct ShardAcc<S> {
     sketch: S,
     pending: u64,
 }
@@ -173,13 +183,16 @@ pub(crate) fn run<S: ServableSketch>(
     } else {
         FoldMode::WholeStream
     };
-    let shards: Vec<Arc<Mutex<Shard<S>>>> = if mode == FoldMode::Shard {
+    let shards: Vec<Arc<Shard<S>>> = if mode == FoldMode::Shard {
         (0..workers)
             .map(|_| {
-                Arc::new(Mutex::new(Shard {
-                    sketch: prototype.clone(),
-                    pending: 0,
-                }))
+                Arc::new(Shard {
+                    acc: Mutex::new(ShardAcc {
+                        sketch: prototype.clone(),
+                        pending: 0,
+                    }),
+                    fold_lock: Mutex::new(()),
+                })
             })
             .collect()
     } else {
@@ -228,24 +241,35 @@ pub(crate) fn run<S: ServableSketch>(
 
 /// Take a shard's accumulator (swapping in a fresh prototype clone) and
 /// fold it into the published serving state.  The fold happens outside the
-/// shard lock, so the owning worker keeps absorbing while the fold runs.
+/// accumulator lock, so the owning worker keeps absorbing while the fold
+/// runs.  The fold lock is held across take and merge: a flush racing
+/// another (a worker's stream end against a query's flush) waits for the
+/// other's merge to land instead of returning early on an empty shard, so
+/// the durable count read after any flush covers everything the shard had
+/// absorbed when the flush began.  A snapshot the merge made due is
+/// written after the fold lock drops, so a query's flush never waits on
+/// disk I/O.
 fn flush_shard<S: ServableSketch>(
-    shard: &Mutex<Shard<S>>,
+    shard: &Shard<S>,
     prototype: &S,
     coordinator: &MergeCoordinator<S>,
 ) -> Result<(), ServeError> {
-    let (taken, pending) = {
-        let mut guard = shard.lock().expect("shard lock poisoned");
-        if guard.pending == 0 {
-            return Ok(());
-        }
-        let taken = std::mem::replace(&mut guard.sketch, prototype.clone());
-        let pending = std::mem::take(&mut guard.pending);
-        (taken, pending)
+    let due = {
+        let _folding = shard.fold_lock.lock().expect("shard fold lock poisoned");
+        let (taken, pending) = {
+            let mut guard = shard.acc.lock().expect("shard lock poisoned");
+            if guard.pending == 0 {
+                return Ok(());
+            }
+            let taken = std::mem::replace(&mut guard.sketch, prototype.clone());
+            let pending = std::mem::take(&mut guard.pending);
+            (taken, pending)
+        };
+        // Shard mode never arms a crash point, so the outcome is always
+        // Merged.
+        coordinator.merge(&taken, pending)?.1
     };
-    // Shard mode never arms a crash point, so the outcome is always Merged.
-    coordinator.fold(&taken, pending)?;
-    Ok(())
+    coordinator.publish_due(due)
 }
 
 /// One fold worker: absorb batches, resolve stream ends and failures per
@@ -254,7 +278,7 @@ fn flush_shard<S: ServableSketch>(
 fn worker_loop<S: ServableSketch>(
     rx: Receiver<WorkerMsg>,
     replies: mpsc::Sender<(u64, Response)>,
-    shard: Option<Arc<Mutex<Shard<S>>>>,
+    shard: Option<Arc<Shard<S>>>,
     mode: FoldMode,
     prototype: &S,
     coordinator: &MergeCoordinator<S>,
@@ -287,7 +311,7 @@ fn worker_loop<S: ServableSketch>(
                 FoldMode::Shard => {
                     let shard = shard.as_ref().expect("shard mode has a shard");
                     let due = {
-                        let mut guard = shard.lock().expect("shard lock poisoned");
+                        let mut guard = shard.acc.lock().expect("shard lock poisoned");
                         guard.sketch.update_batch(&updates);
                         guard.pending += updates.len() as u64;
                         guard.pending >= k
@@ -429,7 +453,7 @@ struct Reactor<'a, S: ServableSketch> {
     config: &'a ServeConfig,
     coordinator: &'a MergeCoordinator<S>,
     txs: &'a [SyncSender<WorkerMsg>],
-    shards: &'a [Arc<Mutex<Shard<S>>>],
+    shards: &'a [Arc<Shard<S>>],
     dispatch_at: usize,
     domain: u64,
     draining: bool,
@@ -878,5 +902,118 @@ impl<S: ServableSketch> Reactor<'_, S> {
         conn.outbuf
             .extend_from_slice(response.to_string().as_bytes());
         conn.outbuf.push(b'\n');
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gsum_core::{GSumConfig, OnePassGSumSketch};
+    use gsum_gfunc::library::PowerFunction;
+    use gsum_streams::StreamSink;
+
+    const UPDATES: u64 = 100;
+
+    fn prototype() -> OnePassGSumSketch<PowerFunction> {
+        let config = GSumConfig::with_space_budget(64, 0.25, 64, 11);
+        OnePassGSumSketch::new(PowerFunction::new(2.0), &config)
+    }
+
+    /// A shard that has absorbed `UPDATES` updates not yet folded.
+    fn loaded_shard(
+        prototype: &OnePassGSumSketch<PowerFunction>,
+    ) -> Shard<OnePassGSumSketch<PowerFunction>> {
+        let mut sketch = prototype.clone();
+        let updates: Vec<Update> = (0..UPDATES).map(|i| Update::new(i % 64, 1)).collect();
+        sketch.update_batch(&updates);
+        Shard {
+            acc: Mutex::new(ShardAcc {
+                sketch,
+                pending: UPDATES,
+            }),
+            fold_lock: Mutex::new(()),
+        }
+    }
+
+    /// Run `flush_shard` on its own thread; the receiver yields once it
+    /// has returned.
+    fn spawn_flush<'s, S: ServableSketch>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        shard: &'s Shard<S>,
+        prototype: &'s S,
+        coordinator: &'s MergeCoordinator<S>,
+    ) -> Receiver<()> {
+        let (tx, rx) = mpsc::channel();
+        scope.spawn(move || {
+            flush_shard(shard, prototype, coordinator).expect("flush");
+            tx.send(()).expect("test thread alive");
+        });
+        rx
+    }
+
+    #[test]
+    fn flush_waits_for_an_in_flight_fold_of_the_same_shard() {
+        let prototype = prototype();
+        let shard = loaded_shard(&prototype);
+        let coordinator =
+            MergeCoordinator::new(prototype.clone(), 0, 1 << 20, None, None).expect("coordinator");
+        // Stand in for another flush that has taken the accumulator and
+        // not yet merged it: the shard reads empty, but its updates are
+        // not durable.
+        let folding = shard.fold_lock.lock().unwrap();
+        let (taken, pending) = {
+            let mut guard = shard.acc.lock().unwrap();
+            let taken = std::mem::replace(&mut guard.sketch, prototype.clone());
+            (taken, std::mem::take(&mut guard.pending))
+        };
+        std::thread::scope(|scope| {
+            let flushed = spawn_flush(scope, &shard, &prototype, &coordinator);
+            assert!(
+                flushed.recv_timeout(Duration::from_millis(200)).is_err(),
+                "a flush must not return while another fold of its shard is in flight"
+            );
+            coordinator.merge(&taken, pending).expect("merge");
+            drop(folding);
+            flushed
+                .recv_timeout(Duration::from_secs(30))
+                .expect("flush returns once the in-flight fold lands");
+            assert_eq!(coordinator.durable_count(), UPDATES);
+        });
+    }
+
+    #[test]
+    fn flush_does_not_wait_on_a_snapshot_write() {
+        let prototype = prototype();
+        let shard = loaded_shard(&prototype);
+        let path = std::env::temp_dir().join(format!(
+            "gsum_serve_reactor_flush_{}.ckpt",
+            std::process::id()
+        ));
+        // A cadence of 1: the fold below makes a snapshot due.
+        let coordinator = MergeCoordinator::new(prototype.clone(), 0, 1, Some(path.clone()), None)
+            .expect("coordinator");
+        std::thread::scope(|scope| {
+            let folded = coordinator.with_publisher_held(|| {
+                let folded = spawn_flush(scope, &shard, &prototype, &coordinator);
+                let merged_by = Instant::now() + Duration::from_secs(30);
+                while coordinator.durable_count() < UPDATES {
+                    assert!(Instant::now() < merged_by, "the fold never merged");
+                    std::thread::yield_now();
+                }
+                // The fold is now blocked on the snapshot write.  A query's
+                // flush of the same (now empty) shard must still return.
+                let queried = spawn_flush(scope, &shard, &prototype, &coordinator);
+                queried
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("a query's flush must not wait for a snapshot write");
+                assert!(folded.try_recv().is_err(), "the snapshot write is held");
+                folded
+            });
+            folded
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the fold returns once the snapshot is written");
+        });
+        assert_eq!(coordinator.stats().snapshots_written, 1);
+        let _ = std::fs::remove_file(&path);
     }
 }

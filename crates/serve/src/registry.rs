@@ -170,6 +170,14 @@ impl SketchRegistry {
 
     /// The estimate for a registered function at the current prefix, or
     /// `None` for an unknown name.
+    ///
+    /// Functions sharing a substrate share its per-level query plans (see
+    /// [`OnePassGSumSketch::estimate_with`]): the first query after a state
+    /// change scans each level's candidates, and every later query — for
+    /// any registered function — only prunes and weighs at most
+    /// `candidates_per_level` items per level.  Ingest (`update`,
+    /// `update_batch`) and `merge` invalidate the plans; checkpoint bytes
+    /// never carry them.
     pub fn estimate_for(&self, name: &str) -> Option<f64> {
         let est = self.estimators.iter().find(|e| e.name == name)?;
         Some(

@@ -51,6 +51,21 @@ struct ResidualScratch {
     row_sums: Vec<f64>,
 }
 
+/// Candidate keys pulled from the iterator per block of the batched scan:
+/// large enough to amortize the per-row kernel setup, small enough that the
+/// block's `rows × SCAN_BLOCK` signed counters stay in L1/L2.
+const SCAN_BLOCK: usize = 1024;
+
+/// The candidate order: decreasing `|estimate|`, ties broken by increasing
+/// item.  Total over distinct items, so every selection strategy that
+/// respects it returns the same items in the same order.
+fn by_magnitude_then_item(a: &(u64, f64), b: &(u64, f64)) -> std::cmp::Ordering {
+    b.1.abs()
+        .partial_cmp(&a.1.abs())
+        .expect("estimates are finite")
+        .then(a.0.cmp(&b.0))
+}
+
 /// Configuration for a [`CountSketch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CountSketchConfig {
@@ -215,21 +230,78 @@ impl CountSketch {
 
     /// The top-`k` items (by estimated magnitude) among the given candidate
     /// item identifiers.  Returned as `(item, estimate)` sorted by decreasing
-    /// `|estimate|`.
+    /// `|estimate|`, ties broken by increasing item; each estimate is
+    /// bit-identical to [`FrequencySketch::estimate`] of that item.
+    ///
+    /// One batched scan: keys are pulled from the iterator in blocks of
+    /// 1024; per row, the ingest path's batched hash kernel
+    /// ([`RowHasher::column_sign_batch`]) fills the block's columns and
+    /// signs and the signed counters are gathered; each key's median over
+    /// rows is taken exactly as [`FrequencySketch::estimate`] takes it.  The
+    /// block buffers are reused across blocks and freed on return, so a
+    /// sketch keeps no scan memory between queries.  Survivors live in a bounded buffer of at most `2k` entries
+    /// that is cut back to the best `k` whenever it fills, so memory is
+    /// `O(k + rows · SCAN_BLOCK)` whatever the candidate count.
     pub fn top_candidates(
         &self,
-        candidates: impl Iterator<Item = u64>,
+        mut candidates: impl Iterator<Item = u64>,
         k: usize,
     ) -> Vec<(u64, f64)> {
-        let mut scored: Vec<(u64, f64)> = candidates.map(|i| (i, self.estimate(i))).collect();
-        scored.sort_unstable_by(|a, b| {
-            b.1.abs()
-                .partial_cmp(&a.1.abs())
-                .expect("estimates are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        scored
+        let mut top: Vec<(u64, f64)> = Vec::new();
+        if k == 0 {
+            return top;
+        }
+        let limit = k.saturating_mul(2);
+        // After the first cut, anything strictly smaller in magnitude than
+        // the worst survivor can never enter the top `k`.
+        let mut floor = 0.0f64;
+        let rows = self.config.rows;
+        let mut keys = Vec::with_capacity(SCAN_BLOCK);
+        let mut cols = Vec::with_capacity(SCAN_BLOCK);
+        let mut signs = Vec::with_capacity(SCAN_BLOCK);
+        let mut counters = Vec::with_capacity(rows * SCAN_BLOCK);
+        let mut column = Vec::with_capacity(rows);
+        loop {
+            keys.clear();
+            keys.extend(candidates.by_ref().take(SCAN_BLOCK));
+            let n = keys.len();
+            if n == 0 {
+                break;
+            }
+            counters.clear();
+            for (row_counters, hasher) in self
+                .counters
+                .chunks_exact(self.config.columns)
+                .zip(self.rows.iter())
+            {
+                hasher.column_sign_batch(&keys, &mut cols, &mut signs);
+                counters.extend(
+                    cols.iter()
+                        .zip(signs.iter())
+                        .map(|(&col, &sign)| sign as f64 * row_counters[col as usize]),
+                );
+            }
+            for (j, &item) in keys.iter().enumerate() {
+                column.clear();
+                column.extend((0..rows).map(|r| counters[r * n + j]));
+                let estimate = median_in_place(&mut column);
+                if estimate.abs() < floor {
+                    continue;
+                }
+                top.push((item, estimate));
+                if top.len() >= limit {
+                    top.select_nth_unstable_by(k - 1, by_magnitude_then_item);
+                    top.truncate(k);
+                    floor = top[k - 1].1.abs();
+                }
+            }
+        }
+        if top.len() > k {
+            top.select_nth_unstable_by(k - 1, by_magnitude_then_item);
+            top.truncate(k);
+        }
+        top.sort_unstable_by(by_magnitude_then_item);
+        top
     }
 
     /// Estimate the residual second moment `F₂^{res}` of the summarized

@@ -9,7 +9,9 @@
 //! (per-update, one whole-stream batch, small chunked batches) and compare
 //! every query down to the bits, under both the polynomial and the
 //! tabulation hash backends.  The merge laws are re-checked under the
-//! tabulation backend too.
+//! tabulation backend too.  The `scan_kernel_*` tests hold the batched
+//! candidate scan (`CountSketch::top_candidates`) to the per-item scan it
+//! replaced, kept below as an oracle.
 
 use proptest::prelude::*;
 use zerolaw::core::{
@@ -18,7 +20,7 @@ use zerolaw::core::{
 };
 use zerolaw::prelude::*;
 use zerolaw::sketch::{
-    CountMinConfig, CountMinSketch, CountSketchConfig, HashBackend, SamplingEstimator,
+    CountMinConfig, CountMinSketch, CountSketch, CountSketchConfig, HashBackend, SamplingEstimator,
 };
 
 const DOMAIN: u64 = 64;
@@ -686,5 +688,172 @@ fn sharded_tabulation_ingest_matches_single_threaded() {
             single.estimate().to_bits(),
             "sharded ({shard_count}) tabulation ingestion must match single-threaded"
         );
+    }
+}
+
+/// Domain of the candidate-scan tests: wide enough that a full-domain scan
+/// spans several of the kernel's key blocks.
+const SCAN_DOMAIN: u64 = 3_000;
+/// Row counts for the scan tests: even counts take the averaging median.
+const SCAN_ROWS: [usize; 5] = [1, 2, 4, 5, 7];
+
+/// The candidate scan before it was batched, kept as the oracle for
+/// `CountSketch::top_candidates`: one per-item `estimate` (a median over
+/// rows) per candidate, then a full sort by decreasing magnitude with ties
+/// broken by increasing item, truncated to `k`.
+fn top_candidates_oracle(
+    cs: &CountSketch,
+    candidates: impl Iterator<Item = u64>,
+    k: usize,
+) -> Vec<(u64, f64)> {
+    let mut scored: Vec<(u64, f64)> = candidates.map(|i| (i, cs.estimate(i))).collect();
+    scored.sort_unstable_by(|a, b| {
+        b.1.abs()
+            .partial_cmp(&a.1.abs())
+            .expect("estimates are finite")
+            .then(a.0.cmp(&b.0))
+    });
+    scored.truncate(k);
+    scored
+}
+
+/// `(item, estimate bits)` pairs, so comparisons are bit-exact.
+fn as_bits(pairs: &[(u64, f64)]) -> Vec<(u64, u64)> {
+    pairs.iter().map(|&(i, e)| (i, e.to_bits())).collect()
+}
+
+/// The stream's distinct items in first-appearance order — the shape of a
+/// reverse-hint set.
+fn distinct_items(s: &TurnstileStream) -> Vec<u64> {
+    let mut seen = std::collections::HashSet::new();
+    s.iter()
+        .map(|u| u.item)
+        .filter(|&i| seen.insert(i))
+        .collect()
+}
+
+/// Compare the batched scan to the oracle over one candidate set at every
+/// interesting `k`: none, one, a few (forcing repeated buffer cuts), all,
+/// and more than there are.
+fn assert_scan_matches_oracle(cs: &CountSketch, candidates: &[u64]) -> Result<(), TestCaseError> {
+    let n = candidates.len();
+    for k in [0, 1, 3, n, n + 7] {
+        let got = cs.top_candidates(candidates.iter().copied(), k);
+        let want = top_candidates_oracle(cs, candidates.iter().copied(), k);
+        prop_assert_eq!(
+            as_bits(&got),
+            as_bits(&want),
+            "rows {} / {:?}: batched scan diverges from the per-item oracle at k = {} of {}",
+            cs.config().rows,
+            cs.config().backend,
+            k,
+            n
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The batched candidate scan returns exactly the per-item oracle's
+    /// items and estimate bits, under both backends, for 1, 2, 4, 5 and 7
+    /// rows, over an empty candidate set, the stream's hint-shaped support,
+    /// a strided subset walked backwards, and the full domain.
+    #[test]
+    fn scan_kernel_top_candidates_equal_per_item_oracle(
+        s in stream_strategy(SCAN_DOMAIN, 400),
+        seed in 0u64..200,
+        columns in 4usize..40,
+        stride in 2u64..9,
+    ) {
+        let support = distinct_items(&s);
+        let strided: Vec<u64> = (0..SCAN_DOMAIN).rev().filter(|i| i % stride == 1).collect();
+        let full: Vec<u64> = (0..SCAN_DOMAIN).collect();
+        for backend in BACKENDS {
+            for rows in SCAN_ROWS {
+                let mut cs = CountSketch::new(
+                    CountSketchConfig::new(rows, columns).with_backend(backend),
+                    seed,
+                );
+                cs.update_batch(s.updates());
+                assert_scan_matches_oracle(&cs, &[])?;
+                assert_scan_matches_oracle(&cs, &support)?;
+                assert_scan_matches_oracle(&cs, &strided)?;
+                assert_scan_matches_oracle(&cs, &full)?;
+            }
+        }
+    }
+
+    /// The two-pass heavy hitter freezes the batched scan's candidates: its
+    /// candidate set equals the oracle's top identities over the hint scan
+    /// (cap held) or the domain scan (cap exceeded), and its cover reports
+    /// exact g-values for those items only.
+    #[test]
+    fn scan_kernel_two_pass_cover_equals_oracle(
+        s in stream_strategy(SCAN_DOMAIN, 300),
+        seed in 0u64..100,
+        hint_cap in 1usize..400,
+    ) {
+        let g = PowerFunction::new(2.0);
+        let support = distinct_items(&s);
+        let fv = s.frequency_vector();
+        for backend in BACKENDS {
+            let config = TwoPassHeavyHitterConfig {
+                rows: 5,
+                columns: 16,
+                candidates: 12,
+                backend,
+                hint_cap,
+            };
+            let mut hh = TwoPassHeavyHitter::new(g, config, seed);
+            // The two-pass sketch's CountSketch seed derivation.
+            let mut reference = CountSketch::new(
+                CountSketchConfig::new(5, 16).with_backend(backend),
+                seed ^ 0x2da5_5e1f,
+            );
+            hh.update_batch(s.updates());
+            reference.update_batch(s.updates());
+            hh.begin_second_pass(SCAN_DOMAIN);
+            hh.update_batch(s.updates());
+
+            let mut want: Vec<u64> = if support.len() > hint_cap {
+                top_candidates_oracle(&reference, 0..SCAN_DOMAIN, config.candidates)
+            } else {
+                top_candidates_oracle(&reference, support.iter().copied(), config.candidates)
+            }
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
+            want.sort_unstable();
+            prop_assert_eq!(hh.candidates(), want.clone());
+            for (item, weight) in hh.cover(SCAN_DOMAIN).iter() {
+                prop_assert!(want.binary_search(&item).is_ok(), "cover item {} not a candidate", item);
+                prop_assert_eq!(weight.to_bits(), g.eval_signed(fv.get(item)).to_bits());
+            }
+        }
+    }
+}
+
+/// Ties everywhere: an empty sketch estimates every item as a signed zero,
+/// and a sketch whose two items cancel row by row leaves many equal
+/// magnitudes.  The scan must order them exactly like the oracle —
+/// increasing item among equal magnitudes, `-0.0` and `0.0` kept bit for
+/// bit — whatever order the candidates arrive in.
+#[test]
+fn scan_kernel_ties_and_signed_zeros_match_oracle() {
+    let backwards: Vec<u64> = (0..SCAN_DOMAIN).rev().collect();
+    for backend in BACKENDS {
+        for rows in SCAN_ROWS {
+            let config = CountSketchConfig::new(rows, 8).with_backend(backend);
+            let empty = CountSketch::new(config, 3);
+            let mut cancelling = CountSketch::new(config, 3);
+            cancelling.update(Update::new(10, 7));
+            cancelling.update(Update::new(11, -7));
+            cancelling.update(Update::new(12, 7));
+            for cs in [&empty, &cancelling] {
+                assert_scan_matches_oracle(cs, &backwards).expect("tie order");
+            }
+        }
     }
 }

@@ -14,12 +14,13 @@
 //! Also covered, over the reactor path specifically: command lines split
 //! across readiness events, wire frames split mid-frame across writes,
 //! oversized command lines, interleaved queries and ingest streams
-//! pipelined on one connection, and the deterministic `BUSY` shed reply.
+//! pipelined on one connection, the deterministic `BUSY` shed reply, and
+//! stream acks that stay durable while queries flush the same shard.
 
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use zerolaw::prelude::*;
@@ -506,4 +507,89 @@ fn connection_past_the_cap_reads_busy_deterministically() {
     assert!(sheds.load(Ordering::Relaxed) >= 3);
     assert_eq!(server.durable_count(), 0);
     assert_eq!(summary.stats.streams_failed, 0);
+}
+
+/// Sets the flag when dropped, so a helper thread polling it stops even if
+/// the test body panics.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// An `OK n` ack must count the stream it acknowledges.  One connection
+/// sends many short streams back to back while another sends `EST` as fast
+/// as it is answered, so query flushes keep taking the worker's shard while
+/// the worker is flushing it for a stream end.  The stream end must wait
+/// for the racing fold to land before it reads the durable count.  With a
+/// single ingest client the count at each ack is exactly what that client
+/// has sent so far.
+#[test]
+fn stream_acks_stay_durable_while_queries_flush_the_shard() {
+    const STREAMS: u64 = 400;
+    const STREAM_LEN: u64 = 8;
+    let config = ServeConfig::new()
+        .with_policy(ServePolicy::MergeCompleted)
+        .with_workers(1);
+    let done = AtomicBool::new(false);
+    let ((short, sent, queries), summary, server) = with_server(config, |addr| {
+        std::thread::scope(|scope| {
+            let querier = scope.spawn(|| {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut line = String::new();
+                let mut queries = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    writeln!(stream, "EST").expect("send");
+                    line.clear();
+                    reader.read_line(&mut line).expect("read");
+                    assert!(
+                        matches!(Response::parse(&line), Ok(Response::Est { .. })),
+                        "expected EST reply, got {line:?}"
+                    );
+                    queries += 1;
+                }
+                queries
+            });
+            let _stop_querier = SetOnDrop(&done);
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut line = String::new();
+            let mut sent = 0u64;
+            let mut short = Vec::new();
+            for s in 0..STREAMS {
+                let updates: Vec<Update> = (0..STREAM_LEN)
+                    .map(|i| Update::new((s * STREAM_LEN + i) % DOMAIN, 1 + (i as i64 % 3)))
+                    .collect();
+                stream
+                    .write_all(&encode_client(&updates, None))
+                    .expect("stream");
+                sent += STREAM_LEN;
+                line.clear();
+                reader.read_line(&mut line).expect("read");
+                match Response::parse(&line) {
+                    Ok(Response::Ok(n)) if n == sent => {}
+                    Ok(Response::Ok(n)) => short.push((s, n, sent)),
+                    other => panic!("expected OK for stream {s}, got {other:?}"),
+                }
+            }
+            drop(_stop_querier);
+            let queries = querier.join().expect("querier thread");
+            drop(stream);
+            query_and_quit(addr);
+            (short, sent, queries)
+        })
+    });
+    assert!(
+        short.is_empty(),
+        "{} of {STREAMS} acks (stream, acked, sent) undercount the stream: {:?}",
+        short.len(),
+        &short[..short.len().min(8)]
+    );
+    assert!(queries > 0, "the querier must have raced the streams");
+    assert!(summary.clean_shutdown);
+    assert_eq!(server.durable_count(), sent);
+    assert_eq!(summary.stats.streams_completed, STREAMS);
 }
