@@ -7,24 +7,22 @@
 //! exactly the single-threaded state of the concatenated streams, bit for
 //! bit (integer-valued `f64` counters add exactly).  The coordinator is the
 //! one place that fold happens: it owns the serving sketch behind a lock,
-//! applies the durable-count accounting, honors the configured
-//! [`ServePolicy`] for partially-delivered streams, and publishes a
+//! applies the durable-count accounting, counts the streams the configured
+//! [`ServePolicy`](crate::ServePolicy) kept or dropped, and publishes a
 //! [`CheckpointEnvelope`] snapshot every `checkpoint_every` merged updates
 //! (atomic temp-file + rename).
 //!
-//! The coordinator is deliberately transport-free: the TCP server drives it
-//! with socket-backed [`FrameReader`]s, the property tests drive it with
-//! in-memory byte slices, and a cross-machine deployment can fold
-//! [`ParkedState`] checkpoint bytes that arrived from another process —
-//! all three paths converge on the same [`fold`](MergeCoordinator::fold).
+//! The coordinator is deliberately transport-free: the TCP server's fold
+//! workers hand it per-worker shards and per-connection accumulators, the
+//! property tests hand it states decoded from in-memory byte slices, and a
+//! cross-machine deployment can fold [`ParkedState`] checkpoint bytes that
+//! arrived from another process — all three paths converge on the same
+//! [`fold`](MergeCoordinator::fold).
 
 use crate::checkpoint_envelope::CheckpointEnvelope;
 use crate::error::{ServeConfigError, ServeError};
-use crate::policy::ServePolicy;
 use crate::ServableSketch;
-use gsum_streams::wire::WireProgress;
-use gsum_streams::{FrameReader, ParkedState, PipelineError, PipelinedIngest, WireError};
-use std::io::Read;
+use gsum_streams::ParkedState;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -52,41 +50,15 @@ pub struct ServeStats {
     /// Client streams folded to clean completion (end-of-stream frame seen).
     pub streams_completed: u64,
     /// Client streams that died before their end-of-stream frame.  Under
-    /// [`ServePolicy::MergeCompleted`] their completed slices were kept;
-    /// under [`ServePolicy::DiscardPartial`] they contributed nothing.
+    /// [`MergeCompleted`](crate::ServePolicy::MergeCompleted) their decoded
+    /// prefix was kept; under
+    /// [`DiscardPartial`](crate::ServePolicy::DiscardPartial) they
+    /// contributed nothing.
     pub streams_failed: u64,
     /// Updates decoded from clients but dropped by the failure policy.
     pub updates_discarded: u64,
     /// Checkpoint envelopes published to disk.
     pub snapshots_written: u64,
-}
-
-/// How one client stream ended, as reported by
-/// [`MergeCoordinator::ingest_stream`].
-#[derive(Debug)]
-pub struct StreamOutcome {
-    /// Updates from this stream folded into the serving state.
-    pub merged_updates: u64,
-    /// Updates decoded from this stream but dropped by the failure policy.
-    pub discarded_updates: u64,
-    /// The serving state's durable count after this stream's folds.
-    pub durable_count: u64,
-    /// The wire reader's final progress counters (how far the stream got).
-    pub progress: WireProgress,
-    /// Why the stream did not complete, when it didn't.  Stream-level
-    /// failures are policy events, not server errors.
-    pub failure: Option<PipelineError>,
-    /// Whether the fault-injection crash point was reached while serving
-    /// this stream.
-    pub crashed: bool,
-}
-
-impl StreamOutcome {
-    /// Whether the stream was ingested through its end-of-stream frame and
-    /// fully folded.
-    pub fn completed(&self) -> bool {
-        self.failure.is_none() && !self.crashed
-    }
 }
 
 struct CoordinatorState<S> {
@@ -117,14 +89,12 @@ impl<S: ServableSketch> MergeCoordinator<S> {
     /// prototype clone, or a sketch restored from a checkpoint envelope)
     /// already durable through `durable_count` updates.
     ///
-    /// `checkpoint_every` is both the snapshot cadence (a
-    /// [`CheckpointEnvelope`] is published once at least that many updates
-    /// merged since the last snapshot) and the slice granularity
-    /// [`ingest_stream`](Self::ingest_stream) pipelines at.  `crash_after`
-    /// is the fault-injection hook for crash-recovery tests: once merging
-    /// one more state would push the durable count past it, the coordinator
-    /// refuses the fold and every one after, and the server dies without a
-    /// final checkpoint.
+    /// `checkpoint_every` is the snapshot cadence: a [`CheckpointEnvelope`]
+    /// is published once at least that many updates merged since the last
+    /// snapshot.  `crash_after` is the fault-injection hook for
+    /// crash-recovery tests: once merging one more state would push the
+    /// durable count past it, the coordinator refuses the fold and every
+    /// one after, and the server dies without a final checkpoint.
     pub fn new(
         initial: S,
         durable_count: u64,
@@ -245,18 +215,18 @@ impl<S: ServableSketch> MergeCoordinator<S> {
         }
     }
 
-    /// Record a client stream folded to clean completion.  The reactor
-    /// serving path decodes and folds outside
-    /// [`ingest_stream`](Self::ingest_stream) (per-worker shards, per-
-    /// connection accumulators), so stream bookkeeping is exposed as its
-    /// own step; `ingest_stream` keeps doing its own accounting.
+    /// Record a client stream folded to clean completion.  Folds and stream
+    /// ends are separate events (a stream may fold in many slices, or be
+    /// absorbed into a shard that folds later), so stream bookkeeping is
+    /// its own step.
     pub fn note_stream_completed(&self) {
         self.lock().stats.streams_completed += 1;
     }
 
     /// Record a client stream that died before its end-of-stream frame,
     /// with `discarded` decoded-but-dropped updates (zero under
-    /// [`ServePolicy::MergeCompleted`], which keeps the decoded prefix).
+    /// [`MergeCompleted`](crate::ServePolicy::MergeCompleted), which keeps
+    /// the decoded prefix).
     pub fn note_stream_failed(&self, discarded: u64) {
         let mut st = self.lock();
         st.stats.streams_failed += 1;
@@ -323,109 +293,6 @@ impl<S: ServableSketch> MergeCoordinator<S> {
             .lock()
             .expect("snapshot publisher lock poisoned");
         f()
-    }
-
-    /// Drive one framed client stream to its end: pipeline-ingest it in
-    /// `checkpoint_every`-sized slices into clones of `prototype`, folding
-    /// according to `policy` (every completed slice immediately, or the
-    /// whole stream at its end frame — see [`ServePolicy`]).  Stream-level
-    /// failures (truncation, corruption, a crafted overflow batch) are
-    /// resolved by the policy and reported in the [`StreamOutcome`]; only
-    /// faults of the serving process itself are `Err`s.
-    pub fn ingest_stream<R: Read>(
-        &self,
-        prototype: &S,
-        pipeline: &PipelinedIngest,
-        policy: ServePolicy,
-        frames: &mut FrameReader<R>,
-    ) -> Result<StreamOutcome, ServeError> {
-        // The whole-stream accumulator for the all-or-nothing policy.
-        let mut pending = (!policy.folds_mid_stream()).then(|| prototype.clone());
-        let mut decoded: u64 = 0;
-        let mut merged: u64 = 0;
-        let mut crashed = false;
-        let mut failure: Option<PipelineError> = None;
-
-        loop {
-            if self.crashed() {
-                crashed = true;
-                break;
-            }
-            let (slice, consumed) =
-                match pipeline.ingest_limited(frames, prototype, self.checkpoint_every) {
-                    Ok(v) => v,
-                    Err(e @ PipelineError::DeltaOverflow { .. }) => {
-                        // A hostile or model-violating batch: a stream-level
-                        // failure the policy absorbs, not a server fault.
-                        failure = Some(e);
-                        break;
-                    }
-                    // Merging worker clones of one prototype cannot fail;
-                    // if it does, that is a configuration bug, not traffic.
-                    Err(e) => return Err(e.into()),
-                };
-            if consumed == 0 {
-                break;
-            }
-            decoded += consumed as u64;
-            if policy.folds_mid_stream() {
-                match self.fold(&slice, consumed as u64)? {
-                    FoldOutcome::Merged { .. } => merged += consumed as u64,
-                    FoldOutcome::CrashInjected => {
-                        crashed = true;
-                        break;
-                    }
-                }
-            } else {
-                pending
-                    .as_mut()
-                    .expect("pending state exists for the all-or-nothing policy")
-                    .merge(&slice)?;
-            }
-        }
-
-        // Resolve how the wire stream ended: a parked decode error, a clean
-        // end frame, or bytes that just stopped (truncation).
-        if failure.is_none() && !crashed {
-            if let Some(e) = frames.take_error() {
-                failure = Some(PipelineError::Wire(e));
-            } else if !frames.finished() {
-                failure = Some(PipelineError::Wire(WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "wire stream closed before its end-of-stream frame",
-                ))));
-            }
-        }
-
-        if failure.is_none() && !crashed {
-            if let Some(whole) = pending.as_ref() {
-                match self.fold(whole, decoded)? {
-                    FoldOutcome::Merged { .. } => merged = decoded,
-                    FoldOutcome::CrashInjected => crashed = true,
-                }
-            }
-        }
-
-        let discarded = decoded - merged;
-        if !crashed {
-            // No bookkeeping when the server is dying mid-crash.
-            let mut st = self.lock();
-            if failure.is_none() {
-                st.stats.streams_completed += 1;
-            } else {
-                st.stats.streams_failed += 1;
-                st.stats.updates_discarded += discarded;
-            }
-        }
-
-        Ok(StreamOutcome {
-            merged_updates: merged,
-            discarded_updates: discarded,
-            durable_count: self.durable_count(),
-            progress: frames.progress(),
-            failure,
-            crashed,
-        })
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, CoordinatorState<S>> {

@@ -1,6 +1,6 @@
 //! The serving layer's error taxonomy.
 
-use gsum_streams::{CheckpointError, MergeError, PipelineError, WireError};
+use gsum_streams::{CheckpointError, MergeError};
 use std::fmt;
 use std::io;
 
@@ -41,8 +41,9 @@ impl std::error::Error for ServeConfigError {}
 ///
 /// Stream-level failures (a client that dies mid-frame, a crafted overflow
 /// batch) are *not* errors at this level — they are routine events the
-/// configured [`ServePolicy`](crate::ServePolicy) absorbs, reported per
-/// stream in a [`StreamOutcome`](crate::StreamOutcome).  `ServeError` is for
+/// configured [`ServePolicy`](crate::ServePolicy) absorbs, answered with an
+/// `ERR` reply on the stream's connection and counted in
+/// [`ServeStats`](crate::ServeStats).  `ServeError` is for
 /// faults of the serving process itself: a socket that cannot be accepted,
 /// a checkpoint that cannot be written, a merge that should be impossible
 /// for clones of one prototype.
@@ -51,13 +52,6 @@ pub enum ServeError {
     /// An underlying I/O failure (socket accept/read/write, checkpoint
     /// file I/O).
     Io(io::Error),
-    /// The framed wire layer rejected a stream header (bad magic on a
-    /// connection sniffed as wire, unsupported version, domain mismatch).
-    Wire(WireError),
-    /// The pipelined ingest path failed in a way the failure policy does
-    /// not cover (a merge between worker clones — a configuration bug,
-    /// never routine traffic).
-    Pipeline(PipelineError),
     /// Folding a client state into the serving state failed: the states
     /// were not built from the same prototype (seeds/shape/phase mismatch).
     Merge(MergeError),
@@ -71,8 +65,6 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "serve I/O error: {e}"),
-            ServeError::Wire(e) => write!(f, "serve wire error: {e}"),
-            ServeError::Pipeline(e) => write!(f, "serve pipeline error: {e}"),
             ServeError::Merge(e) => write!(f, "serve merge error: {e}"),
             ServeError::Checkpoint(e) => write!(f, "serve checkpoint error: {e}"),
             ServeError::Config(e) => write!(f, "serve configuration error: {e}"),
@@ -84,8 +76,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Io(e) => Some(e),
-            ServeError::Wire(e) => Some(e),
-            ServeError::Pipeline(e) => Some(e),
             ServeError::Merge(e) => Some(e),
             ServeError::Checkpoint(e) => Some(e),
             ServeError::Config(e) => Some(e),
@@ -96,18 +86,6 @@ impl std::error::Error for ServeError {
 impl From<io::Error> for ServeError {
     fn from(e: io::Error) -> Self {
         ServeError::Io(e)
-    }
-}
-
-impl From<WireError> for ServeError {
-    fn from(e: WireError) -> Self {
-        ServeError::Wire(e)
-    }
-}
-
-impl From<PipelineError> for ServeError {
-    fn from(e: PipelineError) -> Self {
-        ServeError::Pipeline(e)
     }
 }
 

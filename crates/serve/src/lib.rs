@@ -44,7 +44,8 @@
 //!   pluggable callback instead of stderr.
 //! * [`MergeCoordinator`] — the transport-free fan-in core: fold live
 //!   states, fold [`ParkedState`](gsum_streams::ParkedState) checkpoint
-//!   bytes from another machine, drive in-memory streams in tests.
+//!   bytes from another machine, fold states decoded from in-memory
+//!   streams in tests.
 //! * [`ServePolicy`] — what a stream that dies mid-frame keeps: nothing
 //!   ([`DiscardPartial`](ServePolicy::DiscardPartial), the no-double-count
 //!   default) or its completed slices
@@ -55,7 +56,8 @@
 //! * [`protocol`] — the text query grammar, parsed and formatted in one
 //!   unit-tested place.
 //! * [`ServeError`] — the typed error taxonomy; stream-level failures are
-//!   policy events reported per stream ([`StreamOutcome`]), never `Err`s.
+//!   policy events answered `ERR` and counted in [`ServeStats`], never
+//!   `Err`s.
 
 pub mod checkpoint_envelope;
 pub mod coordinator;
@@ -68,7 +70,7 @@ pub mod registry;
 pub mod server;
 
 pub use checkpoint_envelope::{CheckpointEnvelope, ENVELOPE_MAGIC, ENVELOPE_VERSION};
-pub use coordinator::{FoldOutcome, MergeCoordinator, ServeStats, StreamOutcome};
+pub use coordinator::{FoldOutcome, MergeCoordinator, ServeStats};
 pub use error::{ServeConfigError, ServeError};
 pub use observer::{ServeEvent, ServeObserver};
 pub use policy::ServePolicy;

@@ -28,11 +28,15 @@
 //!   is nothing to share mid-stream: the per-connection accumulator *is*
 //!   the shard, folded once at the end frame or dropped on failure.
 //!
-//! Fault injection (`crash_after`) keeps the PR 4/5 kill/resume contract
-//! bit for bit: with a crash point armed, `MergeCompleted` streams bypass
-//! the shards and fold in exact `checkpoint_every`-sized slices, so the
-//! durable count still moves in K-slices and the crash lands between the
-//! same persistence points as the pre-reactor server.
+//! Fault injection (`crash_after`) keeps the kill/resume contract bit for
+//! bit: with a crash point armed, `MergeCompleted` streams bypass the
+//! shards and fold in exact `checkpoint_every`-sized slices, so the durable
+//! count moves in K-slices and the crash lands between deterministic
+//! persistence points.
+//!
+//! Hostile deltas are stopped at dispatch: a batch whose Σ|δ| exceeds
+//! `i64::MAX` fails its stream before any worker coalesces it, so no
+//! summation order can overflow an item's `i64` total.
 
 use crate::coordinator::{FoldOutcome, MergeCoordinator};
 use crate::error::ServeError;
@@ -759,15 +763,21 @@ impl<S: ServableSketch> Reactor<'_, S> {
                     break;
                 }
                 Act::StreamEnd => {
-                    self.dispatch_batch(conn);
-                    self.send(conn.worker, WorkerMsg::End { conn: conn.id });
-                    conn.phase = Phase::AwaitReply;
+                    match self.dispatch_batch(conn) {
+                        Ok(()) => {
+                            self.send(conn.worker, WorkerMsg::End { conn: conn.id });
+                            conn.phase = Phase::AwaitReply;
+                        }
+                        Err(reason) => self.fail_ingest(conn, reason),
+                    }
                     progress = true;
                     break;
                 }
                 Act::StreamFlow => {
                     if conn.batch.len() >= self.dispatch_at {
-                        self.dispatch_batch(conn);
+                        if let Err(reason) = self.dispatch_batch(conn) {
+                            self.fail_ingest(conn, reason);
+                        }
                         progress = true;
                     }
                     break;
@@ -779,8 +789,7 @@ impl<S: ServableSketch> Reactor<'_, S> {
 
     /// Answer one command line on the reactor thread.  Queries fold the
     /// shards first: "published state" means *everything decoded and
-    /// acknowledged so far*, exactly as the pre-reactor server answered
-    /// from its single serving sketch.
+    /// acknowledged so far*, as if one serving sketch had absorbed it all.
     fn handle_command(&mut self, conn: &mut Conn, line: &str) -> Result<(), ServeError> {
         match Command::parse(line) {
             Ok(Command::Est { function }) => {
@@ -837,13 +846,15 @@ impl<S: ServableSketch> Reactor<'_, S> {
     }
 
     /// A stream died on the reactor's side of the fence (decode error,
-    /// truncation, idle timeout): ship the decoded remainder plus the
-    /// failure to the worker, which resolves it per policy and replies.
+    /// truncation, idle timeout, hostile deltas): ship the decoded
+    /// remainder plus the failure to the worker, which resolves it per
+    /// policy and replies.
     fn fail_ingest(&mut self, conn: &mut Conn, reason: String) {
         self.config.emit(&ServeEvent::StreamFailed {
             reason: reason.clone(),
         });
-        self.dispatch_batch(conn);
+        // A hostile remainder is dropped; the stream fails either way.
+        let _ = self.dispatch_batch(conn);
         self.send(
             conn.worker,
             WorkerMsg::Fail {
@@ -863,7 +874,7 @@ impl<S: ServableSketch> Reactor<'_, S> {
             self.config.emit(&ServeEvent::StreamFailed {
                 reason: reason.clone(),
             });
-            self.dispatch_batch(conn);
+            let _ = self.dispatch_batch(conn);
             self.send(
                 conn.worker,
                 WorkerMsg::Fail {
@@ -875,11 +886,25 @@ impl<S: ServableSketch> Reactor<'_, S> {
         conn.dead = true;
     }
 
-    fn dispatch_batch(&self, conn: &mut Conn) {
+    /// Ship the connection's decoded batch to its worker.  A batch whose
+    /// Σ|δ| exceeds `i64::MAX` is dropped instead and the reason returned:
+    /// under that bound no coalescing order can overflow an item's `i64`
+    /// total, so hostile deltas can neither panic a worker nor wrap
+    /// silently into its sketch.
+    fn dispatch_batch(&self, conn: &mut Conn) -> Result<(), String> {
         if conn.batch.is_empty() {
-            return;
+            return Ok(());
         }
         let updates = std::mem::take(&mut conn.batch);
+        let magnitude = updates
+            .iter()
+            .try_fold(0u64, |sum, u| sum.checked_add(u.delta.unsigned_abs()));
+        if !matches!(magnitude, Some(m) if m <= i64::MAX as u64) {
+            return Err(format!(
+                "rejected a batch of {} updates: its delta magnitudes sum past i64::MAX",
+                updates.len()
+            ));
+        }
         self.send(
             conn.worker,
             WorkerMsg::Batch {
@@ -887,6 +912,7 @@ impl<S: ServableSketch> Reactor<'_, S> {
                 updates,
             },
         );
+        Ok(())
     }
 
     /// Blocking send: a full worker queue backpressures the reactor (and

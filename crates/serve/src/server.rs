@@ -61,8 +61,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration: [`ServePolicy::DiscardPartial`], a
-    /// snapshot every 512 merged updates, a 2-worker pipeline, a 30-second
-    /// client read timeout, 2 fold workers, a 256-connection cap.
+    /// snapshot every 512 merged updates, the default [`PipelinedIngest`]
+    /// batch size and channel depth, a 30-second client read timeout, 2
+    /// fold workers, a 256-connection cap.
     pub fn new() -> Self {
         Self {
             policy: ServePolicy::default(),
@@ -102,10 +103,10 @@ impl ServeConfig {
         Ok(self)
     }
 
-    /// The pipelined-ingest topology each client stream runs through.  The
-    /// reactor reuses its batch size as the dispatch granularity (decoded
-    /// updates per worker message) and its channel depth as each fold
-    /// worker's queue bound.
+    /// The reactor reads two values from this config: its batch size is the
+    /// dispatch granularity (decoded updates per worker message) and its
+    /// channel depth is each fold worker's queue bound.  Its `workers()` is
+    /// ignored; [`with_workers`](Self::with_workers) sizes the fold pool.
     pub fn with_pipeline(mut self, pipeline: PipelinedIngest) -> Self {
         self.pipeline = pipeline;
         self

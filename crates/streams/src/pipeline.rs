@@ -16,7 +16,7 @@
 //! ([`with_channel_depth`](PipelinedIngest::with_channel_depth)): when the
 //! apply workers lag, the decode stage blocks; when the decode stage lags,
 //! the producer blocks — and when the producer is a
-//! [`FrameReader`] on a socket, that blocking propagates
+//! [`FrameReader`](crate::FrameReader) on a socket, that blocking propagates
 //! to the peer through TCP flow control.  A fast producer can never outrun a
 //! slow worker into unbounded memory.
 //!
@@ -37,9 +37,7 @@
 use crate::sink::{checked_coalesce_updates, MergeError, MergeableSketch, StreamSink};
 use crate::source::{TakeSource, UpdateSource};
 use crate::update::Update;
-use crate::wire::{FrameReader, WireError};
 use std::fmt;
-use std::io::Read;
 use std::sync::mpsc;
 
 /// A rejected ingestion configuration value.  Shared by [`PipelinedIngest`]
@@ -96,8 +94,6 @@ pub(crate) fn validate_depth(depth: usize) -> Result<usize, IngestConfigError> {
 /// Error from a pipelined ingestion.
 #[derive(Debug)]
 pub enum PipelineError {
-    /// The wire stream failed to decode (truncation, corruption, ...).
-    Wire(WireError),
     /// The worker sketches failed to merge (never happens for clones of one
     /// prototype; surfaces configuration bugs with explicit worker states).
     Merge(MergeError),
@@ -115,7 +111,6 @@ pub enum PipelineError {
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PipelineError::Wire(e) => write!(f, "pipelined ingest wire error: {e}"),
             PipelineError::Merge(e) => write!(f, "pipelined ingest merge error: {e}"),
             PipelineError::DeltaOverflow { item } => write!(
                 f,
@@ -128,16 +123,9 @@ impl fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            PipelineError::Wire(e) => Some(e),
             PipelineError::Merge(e) => Some(e),
             PipelineError::DeltaOverflow { .. } => None,
         }
-    }
-}
-
-impl From<WireError> for PipelineError {
-    fn from(e: WireError) -> Self {
-        PipelineError::Wire(e)
     }
 }
 
@@ -343,28 +331,6 @@ impl PipelinedIngest {
         let consumed = limit - take.left();
         Ok((merged, consumed))
     }
-
-    /// Ingest a framed wire stream end to end: drain the reader through the
-    /// pipeline, then require the explicit end-of-stream frame — a stream
-    /// that decodes partway and dies surfaces as the wire error it is, never
-    /// as a silently short sketch.  Returns the merged sketch, the number of
-    /// updates ingested, and the underlying reader (e.g. the socket, ready
-    /// for a response).
-    pub fn ingest_wire<R, S>(
-        &self,
-        reader: FrameReader<R>,
-        prototype: &S,
-    ) -> Result<(S, u64, R), PipelineError>
-    where
-        R: Read,
-        S: StreamSink + MergeableSketch + Clone + Send,
-    {
-        let mut reader = reader;
-        let merged = self.ingest(&mut reader, prototype)?;
-        let updates = reader.updates_read();
-        let inner = reader.finish()?;
-        Ok((merged, updates, inner))
-    }
 }
 
 #[cfg(test)]
@@ -372,7 +338,7 @@ mod tests {
     use super::*;
     use crate::frequency::FrequencyVector;
     use crate::generator::{StreamConfig, StreamGenerator, UniformStreamGenerator};
-    use crate::wire::encode_updates;
+    use crate::wire::{encode_updates, FrameReader};
 
     /// A frequency vector is itself a (trivially mergeable) linear sketch.
     #[derive(Debug, Clone)]
@@ -447,12 +413,13 @@ mod tests {
         let reference = gen.generate();
         let bytes = encode_updates(64, reference.updates()).unwrap();
 
-        let reader = FrameReader::new(bytes.as_slice()).unwrap();
-        let (merged, updates, _rest) = PipelinedIngest::new(3)
+        let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
+        let merged = PipelinedIngest::new(3)
             .with_batch_size(128)
-            .ingest_wire(reader, &exact(64))
+            .ingest(&mut reader, &exact(64))
             .unwrap();
-        assert_eq!(updates, reference.len() as u64);
+        assert_eq!(reader.updates_read(), reference.len() as u64);
+        reader.finish().unwrap();
         assert_eq!(merged.fv, reference.frequency_vector());
     }
 
@@ -464,9 +431,9 @@ mod tests {
         // accumulation would panic the decode thread instead.
         let hostile = vec![Update::new(7, i64::MAX), Update::new(7, 1)];
         let bytes = encode_updates(64, &hostile).unwrap();
-        let reader = FrameReader::new(bytes.as_slice()).unwrap();
+        let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
         let err = PipelinedIngest::new(2)
-            .ingest_wire(reader, &exact(64))
+            .ingest(&mut reader, &exact(64))
             .expect_err("overflow must be rejected");
         assert!(
             matches!(err, PipelineError::DeltaOverflow { item: 7 }),
@@ -487,17 +454,6 @@ mod tests {
             matches!(err, PipelineError::DeltaOverflow { item: 3 }),
             "{err}"
         );
-    }
-
-    #[test]
-    fn truncated_wire_stream_is_a_pipeline_error() {
-        let bytes = encode_updates(64, &[Update::insert(1), Update::insert(2)]).unwrap();
-        let truncated = &bytes[..bytes.len() - 3];
-        let reader = FrameReader::new(truncated).unwrap();
-        let err = PipelinedIngest::new(2)
-            .ingest_wire(reader, &exact(64))
-            .expect_err("truncation must not be silent");
-        assert!(matches!(err, PipelineError::Wire(e) if e.is_truncation()));
     }
 
     #[test]

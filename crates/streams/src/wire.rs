@@ -37,9 +37,11 @@
 //!   version, an unknown frame tag, an oversized length prefix and a
 //!   malformed payload all surface as [`WireError`]s.
 //!
-//! [`FrameWriter`] produces the format; [`FrameReader`] consumes it and
-//! implements [`UpdateSource`], so every existing sink — and the sharded /
-//! pipelined ingest machinery — ingests a wire stream unchanged.
+//! [`FrameWriter`] produces the format.  [`FrameDecoder`] is the one
+//! decoder: a push state machine that validates every byte.
+//! [`FrameReader`] pulls from a [`Read`] into it and implements
+//! [`UpdateSource`], so every existing sink — and the sharded / pipelined
+//! ingest machinery — ingests a wire stream unchanged.
 
 use crate::source::UpdateSource;
 use crate::update::Update;
@@ -319,9 +321,13 @@ pub struct WireProgress {
 
 /// Reads a framed wire stream from any [`Read`] and yields its updates.
 ///
-/// The header is read and validated on construction.  `FrameReader`
-/// implements [`UpdateSource`], so a wire stream plugs into every existing
-/// sink, [`ShardedIngest`](crate::ShardedIngest) and
+/// A pull adapter over [`FrameDecoder`]: it reads exactly the bytes the
+/// decoder's current unit still needs and feeds them in, so every check
+/// the format has lives in the decoder alone, and [`finish`](Self::finish)
+/// hands the reader back positioned just past the end frame.  The header
+/// is read and validated on construction.  `FrameReader` implements
+/// [`UpdateSource`], so a wire stream plugs into every existing sink,
+/// [`ShardedIngest`](crate::ShardedIngest) and
 /// [`PipelinedIngest`](crate::PipelinedIngest) unchanged.
 ///
 /// `UpdateSource::next_update` has no error channel, so a decode failure
@@ -332,48 +338,37 @@ pub struct WireProgress {
 #[derive(Debug)]
 pub struct FrameReader<R: Read> {
     inner: R,
-    domain: u64,
-    max_frame_bytes: u32,
-    pending: VecDeque<Update>,
-    finished: bool,
-    error: Option<WireError>,
-    frames_read: u64,
-    updates_read: u64,
+    decoder: FrameDecoder,
+    /// Read buffer, at most [`READ_CHUNK`] bytes whatever the frame bound.
+    scratch: Vec<u8>,
+}
+
+/// Largest single `read` a [`FrameReader`] issues; a bigger payload
+/// arrives over several reads.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// The error for bytes that stopped before the end-of-stream frame.
+fn truncated() -> WireError {
+    WireError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "wire stream closed before its end-of-stream frame",
+    ))
 }
 
 impl<R: Read> FrameReader<R> {
     /// Open a wire stream: reads and validates the magic/version/domain
     /// header before returning.
-    pub fn new(mut inner: R) -> Result<Self, WireError> {
-        let mut magic = [0u8; 4];
-        inner.read_exact(&mut magic)?;
-        if magic != WIRE_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let mut v = [0u8; 2];
-        inner.read_exact(&mut v)?;
-        let version = u16::from_le_bytes(v);
-        if version != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion { found: version });
-        }
-        let mut d = [0u8; 8];
-        inner.read_exact(&mut d)?;
-        let domain = u64::from_le_bytes(d);
-        if domain == 0 {
-            return Err(WireError::Corrupt(
-                "wire stream domain size must be positive".into(),
-            ));
-        }
-        Ok(Self {
+    pub fn new(inner: R) -> Result<Self, WireError> {
+        let mut reader = Self {
             inner,
-            domain,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            pending: VecDeque::new(),
-            finished: false,
-            error: None,
-            frames_read: 0,
-            updates_read: 0,
-        })
+            decoder: FrameDecoder::new(),
+            scratch: Vec::new(),
+        };
+        while reader.decoder.domain.is_none() && reader.fill() {}
+        match reader.decoder.take_error() {
+            Some(e) => Err(e),
+            None => Ok(reader),
+        }
     }
 
     /// Require the stream's declared domain to be exactly `expected` — the
@@ -385,13 +380,9 @@ impl<R: Read> FrameReader<R> {
     /// sketch happens to notice them, at apply time.  Checking the header
     /// once moves that failure to decode, as a typed
     /// [`WireError::DomainMismatch`].
-    pub fn with_expected_domain(self, expected: u64) -> Result<Self, WireError> {
-        if self.domain != expected {
-            return Err(WireError::DomainMismatch {
-                declared: self.domain,
-                expected,
-            });
-        }
+    pub fn with_expected_domain(mut self, expected: u64) -> Result<Self, WireError> {
+        self.decoder.expected_domain = Some(expected);
+        self.decoder.check_domain(self.domain())?;
         Ok(self)
     }
 
@@ -400,38 +391,33 @@ impl<R: Read> FrameReader<R> {
     ///
     /// Returns an error when `max_frame_bytes` cannot hold even one update.
     pub fn with_max_frame_bytes(mut self, max_frame_bytes: u32) -> Result<Self, WireError> {
-        if (max_frame_bytes as usize) < WIRE_UPDATE_BYTES {
-            return Err(WireError::Corrupt(format!(
-                "frame bound {max_frame_bytes} cannot hold one {WIRE_UPDATE_BYTES}-byte update"
-            )));
-        }
-        self.max_frame_bytes = max_frame_bytes;
+        self.decoder = self.decoder.with_max_frame_bytes(max_frame_bytes)?;
         Ok(self)
     }
 
     /// Whether the explicit end-of-stream frame has been consumed.
     pub fn finished(&self) -> bool {
-        self.finished
+        self.decoder.finished()
     }
 
     /// The decode error that ended the stream early, if any.
     pub fn error(&self) -> Option<&WireError> {
-        self.error.as_ref()
+        self.decoder.error()
     }
 
     /// Take ownership of the decode error, if any.
     pub fn take_error(&mut self) -> Option<WireError> {
-        self.error.take()
+        self.decoder.take_error()
     }
 
     /// Number of frames consumed so far (the end-of-stream frame included).
     pub fn frames_read(&self) -> u64 {
-        self.frames_read
+        self.decoder.frames_read
     }
 
     /// Number of updates yielded so far.
     pub fn updates_read(&self) -> u64 {
-        self.updates_read
+        self.decoder.updates_read
     }
 
     /// Point-in-time progress: frame/update counters plus whether the stream
@@ -439,12 +425,7 @@ impl<R: Read> FrameReader<R> {
     /// this to report how far a failed client stream got before its failure
     /// policy decides what to keep.
     pub fn progress(&self) -> WireProgress {
-        WireProgress {
-            frames_read: self.frames_read,
-            updates_read: self.updates_read,
-            finished: self.finished,
-            errored: self.error.is_some(),
-        }
+        self.decoder.progress()
     }
 
     /// Close out the stream: succeeds only when the explicit end-of-stream
@@ -452,98 +433,61 @@ impl<R: Read> FrameReader<R> {
     /// underlying reader (so e.g. a socket can be reused for a response).
     /// A stream that merely ran out of bytes is a truncation error.
     pub fn finish(mut self) -> Result<R, WireError> {
-        if let Some(e) = self.error.take() {
+        if let Some(e) = self.decoder.take_error() {
             return Err(e);
         }
-        if !self.finished {
-            return Err(WireError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "wire stream closed before its end-of-stream frame",
-            )));
+        if !self.decoder.finished() {
+            return Err(truncated());
         }
         Ok(self.inner)
     }
 
-    /// Read one frame into `pending`.  `Ok(true)` means more frames may
-    /// follow; `Ok(false)` means the end-of-stream frame was consumed.
-    fn read_frame(&mut self) -> Result<bool, WireError> {
-        let mut tag = [0u8; 1];
-        self.inner.read_exact(&mut tag)?;
-        let mut len_buf = [0u8; 4];
-        self.inner.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf);
-        match tag[0] {
-            frame_tag::END => {
-                if len != 0 {
-                    return Err(WireError::Corrupt(format!(
-                        "end-of-stream frame with a {len}-byte payload"
-                    )));
+    /// Read what the decoder's current unit still needs and feed it.
+    /// Returns `false` once the stream is over: end frame consumed, decode
+    /// error parked, or the bytes ran out (parked as a truncation).
+    fn fill(&mut self) -> bool {
+        let want = self.decoder.bytes_needed().min(READ_CHUNK);
+        if want == 0 {
+            return false;
+        }
+        self.scratch.resize(want, 0);
+        loop {
+            let error = match self.inner.read(&mut self.scratch[..want]) {
+                Ok(0) => truncated(),
+                Ok(n) => {
+                    self.decoder.feed(&self.scratch[..n]);
+                    return true;
                 }
-                self.frames_read += 1;
-                self.finished = true;
-                Ok(false)
-            }
-            frame_tag::UPDATES => {
-                if len > self.max_frame_bytes {
-                    return Err(WireError::OversizedFrame {
-                        len,
-                        max: self.max_frame_bytes,
-                    });
-                }
-                if !(len as usize).is_multiple_of(WIRE_UPDATE_BYTES) {
-                    return Err(WireError::Corrupt(format!(
-                        "updates payload of {len} bytes is not a multiple of {WIRE_UPDATE_BYTES}"
-                    )));
-                }
-                let mut payload = vec![0u8; len as usize];
-                self.inner.read_exact(&mut payload)?;
-                for entry in payload.chunks_exact(WIRE_UPDATE_BYTES) {
-                    let item = u64::from_le_bytes(entry[..8].try_into().expect("8 bytes"));
-                    let delta = i64::from_le_bytes(entry[8..].try_into().expect("8 bytes"));
-                    if item >= self.domain {
-                        return Err(WireError::Corrupt(format!(
-                            "item {item} outside the stream domain [0, {})",
-                            self.domain
-                        )));
-                    }
-                    self.pending.push_back(Update { item, delta });
-                }
-                self.frames_read += 1;
-                Ok(true)
-            }
-            other => Err(WireError::UnknownFrameTag { found: other }),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => WireError::Io(e),
+            };
+            self.decoder.error = Some(error);
+            return false;
         }
     }
 }
 
 impl<R: Read> UpdateSource for FrameReader<R> {
     fn domain(&self) -> u64 {
-        self.domain
+        self.decoder
+            .domain()
+            .expect("FrameReader::new decodes the header")
     }
 
     fn next_update(&mut self) -> Option<Update> {
         loop {
-            if let Some(u) = self.pending.pop_front() {
-                self.updates_read += 1;
+            if let Some(u) = self.decoder.next_update() {
                 return Some(u);
             }
-            if self.finished || self.error.is_some() {
+            if !self.fill() {
                 return None;
-            }
-            match self.read_frame() {
-                Ok(true) => continue,
-                Ok(false) => return None,
-                Err(e) => {
-                    self.error = Some(e);
-                    return None;
-                }
             }
         }
     }
 
     fn remaining_hint(&self) -> (usize, Option<usize>) {
-        let buffered = self.pending.len();
-        if self.finished || self.error.is_some() {
+        let buffered = self.decoder.pending.len();
+        if self.decoder.bytes_needed() == 0 {
             (buffered, Some(buffered))
         } else {
             (buffered, None)
@@ -568,23 +512,22 @@ enum DecodeState {
     Payload { len: usize },
 }
 
-/// Push-based, resumable frame decoder for readiness-driven receivers.
+/// Push-based, resumable frame decoder: the one place wire bytes are
+/// validated.
 ///
-/// [`FrameReader`] *pulls* from a blocking [`Read`]; a non-blocking reactor
-/// cannot block, so it owns the socket reads and *pushes* whatever bytes
-/// arrived into a `FrameDecoder` via [`feed`](FrameDecoder::feed).  The
-/// decoder is a byte-level state machine that stops and resumes anywhere —
-/// mid-header, mid-length-prefix, mid-payload — which is exactly the shape
-/// `WouldBlock` slices a TCP stream into.
+/// A non-blocking reactor cannot block, so it owns the socket reads and
+/// *pushes* whatever bytes arrived into a `FrameDecoder` via
+/// [`feed`](FrameDecoder::feed).  The decoder is a byte-level state machine
+/// that stops and resumes anywhere — mid-header, mid-length-prefix,
+/// mid-payload — which is exactly the shape `WouldBlock` slices a TCP
+/// stream into.  [`FrameReader`], the pull side over a blocking [`Read`],
+/// is built on it.
 ///
-/// Semantics match `FrameReader` to the letter: the same header validation,
-/// the same typed [`WireError`]s (parked, so the owner decides how a broken
-/// stream dies), the same expected-domain and frame-size gates, the same
-/// progress counters.  One deliberate difference: [`feed`](Self::feed)
-/// **stops consuming at the end-of-stream frame** (and on a parked error),
-/// so bytes after the stream's end are reported unconsumed — on a
-/// persistent connection they belong to the *next* request, not to this
-/// stream.
+/// Errors are typed [`WireError`]s, parked so the owner decides how a
+/// broken stream dies.  [`feed`](Self::feed) **stops consuming at the
+/// end-of-stream frame** (and on a parked error), so bytes after the
+/// stream's end are reported unconsumed — on a persistent connection they
+/// belong to the *next* request, not to this stream.
 ///
 /// ```
 /// use gsum_streams::wire::{encode_updates, FrameDecoder};
@@ -640,10 +583,10 @@ impl FrameDecoder {
         }
     }
 
-    /// Require the stream's declared domain to be exactly `expected` — the
-    /// push-side twin of [`FrameReader::with_expected_domain`].  The
-    /// mismatch surfaces as a parked [`WireError::DomainMismatch`] the
-    /// moment the header is decoded.
+    /// Require the stream's declared domain to be exactly `expected` (see
+    /// [`FrameReader::with_expected_domain`]).  The mismatch surfaces as a
+    /// parked [`WireError::DomainMismatch`] the moment the header is
+    /// decoded.
     pub fn with_expected_domain(mut self, expected: u64) -> Self {
         self.expected_domain = Some(expected);
         self
@@ -672,17 +615,16 @@ impl FrameDecoder {
     /// [`next_update`](Self::next_update) or [`drain_into`](Self::drain_into).
     pub fn feed(&mut self, input: &[u8]) -> usize {
         let mut consumed = 0;
-        while consumed < input.len() && !self.finished && self.error.is_none() {
-            let need = match self.state {
-                DecodeState::Header => HEADER_BYTES,
-                DecodeState::FrameHeader => FRAME_HEADER_BYTES,
-                DecodeState::Payload { len } => len,
-            };
-            let take = (need - self.buf.len()).min(input.len() - consumed);
+        while consumed < input.len() {
+            let need = self.bytes_needed();
+            if need == 0 {
+                break;
+            }
+            let take = need.min(input.len() - consumed);
             self.buf
                 .extend_from_slice(&input[consumed..consumed + take]);
             consumed += take;
-            if self.buf.len() < need {
+            if take < need {
                 break;
             }
             let step = match self.state {
@@ -698,6 +640,37 @@ impl FrameDecoder {
         consumed
     }
 
+    /// Bytes the unit being decoded still needs; zero once the end frame
+    /// is consumed or an error is parked.  A pull reader reads at most this
+    /// much, so it never reads past the stream's end.
+    pub(crate) fn bytes_needed(&self) -> usize {
+        if self.finished || self.error.is_some() {
+            return 0;
+        }
+        let unit = match self.state {
+            DecodeState::Header => HEADER_BYTES,
+            DecodeState::FrameHeader => FRAME_HEADER_BYTES,
+            DecodeState::Payload { len } => len,
+        };
+        unit - self.buf.len()
+    }
+
+    /// The header's domain gates: positive, and the expected domain when
+    /// one is set.
+    fn check_domain(&self, declared: u64) -> Result<(), WireError> {
+        if declared == 0 {
+            return Err(WireError::Corrupt(
+                "wire stream domain size must be positive".into(),
+            ));
+        }
+        match self.expected_domain {
+            Some(expected) if expected != declared => {
+                Err(WireError::DomainMismatch { declared, expected })
+            }
+            _ => Ok(()),
+        }
+    }
+
     fn decode_header(&mut self) -> Result<(), WireError> {
         if self.buf[..4] != WIRE_MAGIC {
             return Err(WireError::BadMagic);
@@ -707,19 +680,7 @@ impl FrameDecoder {
             return Err(WireError::UnsupportedVersion { found: version });
         }
         let domain = u64::from_le_bytes(self.buf[6..14].try_into().expect("8 bytes"));
-        if domain == 0 {
-            return Err(WireError::Corrupt(
-                "wire stream domain size must be positive".into(),
-            ));
-        }
-        if let Some(expected) = self.expected_domain {
-            if domain != expected {
-                return Err(WireError::DomainMismatch {
-                    declared: domain,
-                    expected,
-                });
-            }
-        }
+        self.check_domain(domain)?;
         self.domain = Some(domain);
         self.state = DecodeState::FrameHeader;
         Ok(())
@@ -822,8 +783,8 @@ impl FrameDecoder {
         self.error.take()
     }
 
-    /// Point-in-time progress counters — the same shape [`FrameReader`]
-    /// reports, so serving loops log both paths identically.
+    /// Point-in-time progress counters (what [`FrameReader::progress`]
+    /// reports too).
     pub fn progress(&self) -> WireProgress {
         WireProgress {
             frames_read: self.frames_read,
@@ -1120,6 +1081,75 @@ mod tests {
         out
     }
 
+    /// One stream per error class the decoder parks, plus a clean one:
+    /// `(name, bytes, expected domain)`.
+    fn error_class_streams() -> Vec<(&'static str, Vec<u8>, Option<u64>)> {
+        let header_len = 14;
+        let good = encode_updates(8, &[Update::insert(1)]).unwrap();
+        let patched = |at: usize, with: &[u8]| {
+            let mut bytes = good.clone();
+            bytes[at..at + with.len()].copy_from_slice(with);
+            bytes
+        };
+        let mut fat_end = encode_updates(8, &[]).unwrap();
+        let end_frame = fat_end.len() - 5;
+        fat_end[end_frame + 1..end_frame + 5].copy_from_slice(&16u32.to_le_bytes());
+        vec![
+            ("clean", good.clone(), Some(8)),
+            ("bad magic", patched(0, &[good[0] ^ 0xFF]), None),
+            ("bad version", patched(4, &[0xFF]), None),
+            ("zero domain", patched(6, &[0; 8]), None),
+            ("domain mismatch", good.clone(), Some(64)),
+            ("unknown tag", patched(header_len, &[9]), None),
+            (
+                "oversized",
+                patched(header_len + 1, &u32::MAX.to_le_bytes()),
+                None,
+            ),
+            (
+                "misaligned",
+                patched(header_len + 1, &15u32.to_le_bytes()),
+                None,
+            ),
+            (
+                "forged item",
+                patched(header_len + 5, &99u64.to_le_bytes()),
+                None,
+            ),
+            ("fat end frame", fat_end, None),
+        ]
+    }
+
+    /// Drain a [`FrameReader`] over `bytes`: the updates it yields, the
+    /// error it ends on, and its final progress.  A header error comes back
+    /// from `new` (or `with_expected_domain`) before any frame is read.
+    fn read_all(
+        bytes: &[u8],
+        expected: Option<u64>,
+    ) -> (Vec<Update>, Option<WireError>, WireProgress) {
+        let opened = FrameReader::new(bytes).and_then(|r| match expected {
+            Some(domain) => r.with_expected_domain(domain),
+            None => Ok(r),
+        });
+        match opened {
+            Err(e) => (
+                Vec::new(),
+                Some(e),
+                WireProgress {
+                    frames_read: 0,
+                    updates_read: 0,
+                    finished: false,
+                    errored: true,
+                },
+            ),
+            Ok(mut reader) => {
+                let updates: Vec<Update> = reader.updates().collect();
+                let progress = reader.progress();
+                (updates, reader.take_error(), progress)
+            }
+        }
+    }
+
     #[test]
     fn decoder_agrees_with_reader_at_every_split_point() {
         let updates: Vec<Update> = (0..20u64)
@@ -1130,21 +1160,63 @@ mod tests {
             .with_frame_updates(6)
             .unwrap();
         writer.write_batch(&updates).unwrap();
-        let bytes = writer.finish().unwrap();
+        let multi_frame = writer.finish().unwrap();
 
-        let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
-        let reference: Vec<Update> = reader.updates().collect();
-        let reference_progress = reader.progress();
-
-        for cut in 0..=bytes.len() {
-            let mut decoder = FrameDecoder::new().with_expected_domain(8);
-            let decoded = decode_split(&mut decoder, &bytes, cut);
-            assert_eq!(decoded, reference, "split at {cut}");
-            assert!(decoder.finished(), "split at {cut}");
-            assert!(!decoder.mid_stream());
-            assert_eq!(decoder.domain(), Some(8));
-            assert_eq!(decoder.progress(), reference_progress, "split at {cut}");
+        let mut streams = error_class_streams();
+        streams.push(("multi-frame", multi_frame, Some(8)));
+        for (name, bytes, expected) in streams {
+            let (reference, reference_error, reference_progress) = read_all(&bytes, expected);
+            for cut in 0..=bytes.len() {
+                let mut decoder = FrameDecoder::new();
+                if let Some(domain) = expected {
+                    decoder = decoder.with_expected_domain(domain);
+                }
+                let decoded = decode_split(&mut decoder, &bytes, cut);
+                assert_eq!(decoded, reference, "{name}: split at {cut}");
+                assert_eq!(
+                    decoder.progress(),
+                    reference_progress,
+                    "{name}: split at {cut}"
+                );
+                assert!(!decoder.mid_stream(), "{name}: split at {cut}");
+                if reference_error.is_none() {
+                    assert_eq!(decoder.domain(), expected, "{name}: split at {cut}");
+                }
+                let error = decoder.take_error();
+                assert_eq!(
+                    error.as_ref().map(std::mem::discriminant),
+                    reference_error.as_ref().map(std::mem::discriminant),
+                    "{name}: split at {cut}: decoder {error:?}, reader {reference_error:?}"
+                );
+            }
         }
+    }
+
+    /// A reader that hands out one byte per `read` call.
+    struct OneByteReads<'a>(&'a [u8]);
+
+    impl Read for OneByteReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn reader_leaves_bytes_after_the_end_frame_unread() {
+        let mut on_the_wire = encode_updates(64, &sample_updates()).unwrap();
+        on_the_wire.extend_from_slice(b"EST 0\n");
+        let mut reader = FrameReader::new(OneByteReads(&on_the_wire)).unwrap();
+        let decoded: Vec<Update> = reader.updates().collect();
+        assert_eq!(decoded, sample_updates());
+        let rest = reader.finish().unwrap();
+        assert_eq!(rest.0, b"EST 0\n");
     }
 
     #[test]

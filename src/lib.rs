@@ -238,14 +238,16 @@
 //! let updates: Vec<Update> = (0..4_000).map(|i| Update::new(i % 97, 1)).collect();
 //! let bytes = encode_updates(1 << 8, &updates).expect("encode");
 //!
-//! // Consumer side: decode + pipeline the stream into worker clones.
-//! let reader = FrameReader::new(bytes.as_slice()).expect("wire header");
-//! let (sketch, count, _io) = PipelinedIngest::new(2)
+//! // Consumer side: decode + pipeline the stream into worker clones, then
+//! // require the explicit end-of-stream frame.
+//! let mut reader = FrameReader::new(bytes.as_slice()).expect("wire header");
+//! let sketch = PipelinedIngest::new(2)
 //!     .with_batch_size(512)
 //!     .with_channel_depth(4)
-//!     .ingest_wire(reader, &prototype)
-//!     .expect("stream decodes cleanly");
-//! assert_eq!(count, 4_000);
+//!     .ingest(&mut reader, &prototype)
+//!     .expect("no batch overflows i64");
+//! assert_eq!(reader.updates_read(), 4_000);
+//! reader.finish().expect("stream ended cleanly");
 //!
 //! // Bit-identical to the single-threaded run.
 //! let mut single = prototype.clone();
@@ -298,18 +300,18 @@
 //! let prototype = OnePassGSumSketch::new(PowerFunction::new(2.0), &cfg);
 //! let coordinator =
 //!     MergeCoordinator::new(prototype.clone(), 0, 256, None, None).expect("config");
-//! let pipeline = PipelinedIngest::new(2);
 //!
-//! // Two "clients", each a framed stream (in production: sockets).
+//! // Two "clients", each a framed stream (in production: sockets) decoded
+//! // into its own clone of the prototype, then folded.
 //! let a: Vec<Update> = (0..900).map(|i| Update::new(i % 97, 1)).collect();
 //! let b: Vec<Update> = (0..700).map(|i| Update::new(i % 31, -1)).collect();
 //! for stream in [&a, &b] {
 //!     let bytes = encode_updates(1 << 8, stream).expect("encode");
 //!     let mut frames = FrameReader::new(bytes.as_slice()).expect("header");
-//!     let outcome = coordinator
-//!         .ingest_stream(&prototype, &pipeline, ServePolicy::DiscardPartial, &mut frames)
-//!         .expect("ingest");
-//!     assert!(outcome.completed());
+//!     let mut client = prototype.clone();
+//!     let decoded = frames.feed(&mut client) as u64;
+//!     frames.finish().expect("stream ended cleanly");
+//!     coordinator.fold(&client, decoded).expect("fold");
 //! }
 //!
 //! // Bit-identical to one sketch absorbing both streams back to back.
@@ -414,7 +416,7 @@ pub mod prelude {
         protocol, CheckpointEnvelope, Command, FoldOutcome, GsumServer, MergeCoordinator,
         ProtocolError, RegistryError, Response, ServableSketch, ServableSubstrate, ServeConfig,
         ServeConfigError, ServeError, ServeEvent, ServeObserver, ServePolicy, ServeStats,
-        ServeSummary, SketchRegistry, StreamOutcome,
+        ServeSummary, SketchRegistry,
     };
     pub use gsum_sketch::{
         AmsF2Sketch, CountMinConfig, CountMinSketch, CountSketch, CountSketchConfig,

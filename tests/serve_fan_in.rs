@@ -9,6 +9,16 @@
 //! add exactly, so merging is commutative and associative to the bit) and
 //! these tests enforce it for both hash backends.
 //!
+//! Client states are built from the wire: each stream is decoded by a
+//! [`FrameReader`], and the policy decides which of the decoded updates
+//! fold.  Under [`ServePolicy::MergeCompleted`] a stream folds in
+//! fixed-size slices as it decodes, so slices of different clients
+//! interleave in the fold order; under [`ServePolicy::DiscardPartial`] it
+//! folds whole at its end frame, or not at all.  The same failure × policy
+//! invariance over real sockets, through the reactor and its per-worker
+//! shards, is proptested by
+//! `serve_reactor::sharded_serving_equals_concat_replay_under_load_shedding`.
+//!
 //! Also covered: the parked-state fan-in path (checkpoint bytes fold
 //! identically to live sketches), and the server's decode-time rejection of
 //! a client stream declaring the wrong domain.
@@ -21,7 +31,9 @@ const DOMAIN: u64 = 64;
 const BACKENDS: [HashBackend; 2] = [HashBackend::Polynomial, HashBackend::Tabulation];
 const POLICIES: [ServePolicy; 2] = [ServePolicy::DiscardPartial, ServePolicy::MergeCompleted];
 
-fn proto(backend: HashBackend) -> OnePassGSumSketch<PowerFunction> {
+type Sketch = OnePassGSumSketch<PowerFunction>;
+
+fn proto(backend: HashBackend) -> Sketch {
     let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 11).with_hash_backend(backend);
     OnePassGSumSketch::new(PowerFunction::new(2.0), &config)
 }
@@ -54,6 +66,67 @@ fn kept(updates: &[Update], cut: Option<usize>, policy: ServePolicy) -> &[Update
         (Some(k), ServePolicy::MergeCompleted) => &updates[..k],
         (Some(_), ServePolicy::DiscardPartial) => &[],
     }
+}
+
+/// One client stream as the coordinator sees it.
+struct ClientFolds {
+    /// The fold requests the policy keeps: a client state and the number
+    /// of updates it absorbed.
+    folds: Vec<(Sketch, u64)>,
+    /// Updates decoded before the stream ended.
+    decoded: u64,
+    /// How the stream ended: `Ok` at its end-of-stream frame.
+    ending: Result<(), WireError>,
+}
+
+impl ClientFolds {
+    /// Decode `bytes` with a [`FrameReader`] into clones of `prototype`:
+    /// `slice`-sized folds of the decoded prefix under
+    /// [`ServePolicy::MergeCompleted`], one whole-stream fold (or none, if
+    /// the stream failed) under [`ServePolicy::DiscardPartial`].
+    fn decode(bytes: &[u8], prototype: &Sketch, policy: ServePolicy, slice: u64) -> Self {
+        let mut frames = FrameReader::new(bytes).expect("header");
+        let mut folds = Vec::new();
+        let mut state = prototype.clone();
+        let mut absorbed = 0u64;
+        while let Some(u) = frames.next_update() {
+            state.update(u);
+            absorbed += 1;
+            if policy.folds_mid_stream() && absorbed == slice {
+                folds.push((std::mem::replace(&mut state, prototype.clone()), absorbed));
+                absorbed = 0;
+            }
+        }
+        let decoded = frames.updates_read();
+        let ending = frames.finish().map(drop);
+        if absorbed > 0 && (ending.is_ok() || policy.folds_mid_stream()) {
+            folds.push((state, absorbed));
+        }
+        Self {
+            folds,
+            decoded,
+            ending,
+        }
+    }
+
+    /// Record the stream's end in the coordinator's counters, as the
+    /// server's fold workers do.
+    fn note_ending(&self, coordinator: &MergeCoordinator<Sketch>) {
+        if self.ending.is_ok() {
+            coordinator.note_stream_completed();
+        } else {
+            let kept: u64 = self.folds.iter().map(|(_, n)| n).sum();
+            coordinator.note_stream_failed(self.decoded - kept);
+        }
+    }
+}
+
+/// Fold one client state; the coordinator has no crash point armed.
+fn fold(coordinator: &MergeCoordinator<Sketch>, state: &Sketch, updates: u64) {
+    assert!(matches!(
+        coordinator.fold(state, updates).expect("fold"),
+        FoldOutcome::Merged { .. }
+    ));
 }
 
 /// Deterministic Fisher–Yates from a seed (the proptest shim has no
@@ -109,11 +182,11 @@ fn reference(specs: &[ClientSpec], policy: ServePolicy, backend: HashBackend) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Fold clients in a random permutation, with a random subset failing
-    /// mid-stream: checkpoint bytes equal the single-threaded replay of
-    /// the kept updates, for both policies and both backends — and the
-    /// canonical client order used by the reference shows the fold order
-    /// never matters.
+    /// Fold client states in a random permutation, with a random subset of
+    /// streams failing mid-stream: checkpoint bytes equal the
+    /// single-threaded replay of the kept updates, for both policies and
+    /// both backends — and the canonical client order used by the
+    /// reference shows the fold order never matters.
     #[test]
     fn fan_in_is_permutation_and_failure_invariant(
         raw in prop::collection::vec(
@@ -123,9 +196,6 @@ proptest! {
         perm_seed in 0u64..u64::MAX,
     ) {
         let specs = client_specs(&raw);
-        let mut order: Vec<usize> = (0..specs.len()).collect();
-        shuffle(&mut order, perm_seed);
-
         for backend in BACKENDS {
             for policy in POLICIES {
                 let (expect_bytes, expect_durable) = reference(&specs, policy, backend);
@@ -133,25 +203,28 @@ proptest! {
                 let prototype = proto(backend);
                 let coordinator =
                     MergeCoordinator::new(prototype.clone(), 0, 37, None, None).expect("config");
-                let pipeline = PipelinedIngest::new(2).with_batch_size(31);
-                for &i in &order {
-                    let (updates, cut) = &specs[i];
-                    let bytes = encode_client(updates, *cut);
-                    let mut frames = FrameReader::new(bytes.as_slice()).expect("header");
-                    let outcome = coordinator
-                        .ingest_stream(&prototype, &pipeline, policy, &mut frames)
-                        .expect("ingest");
+                let mut folds = Vec::new();
+                for (updates, cut) in &specs {
+                    let client =
+                        ClientFolds::decode(&encode_client(updates, *cut), &prototype, policy, 37);
                     prop_assert_eq!(
-                        outcome.completed(),
+                        client.ending.is_ok(),
                         cut.is_none(),
                         "completion must track the end-of-stream frame"
                     );
                     if cut.is_some() {
                         prop_assert!(
-                            matches!(&outcome.failure, Some(PipelineError::Wire(e)) if e.is_truncation()),
+                            matches!(&client.ending, Err(e) if e.is_truncation()),
                             "a cut stream must fail as truncation"
                         );
                     }
+                    folds.extend(client.folds);
+                }
+                let mut order: Vec<usize> = (0..folds.len()).collect();
+                shuffle(&mut order, perm_seed);
+                for &i in &order {
+                    let (state, updates) = &folds[i];
+                    fold(&coordinator, state, *updates);
                 }
 
                 prop_assert_eq!(coordinator.durable_count(), expect_durable);
@@ -213,8 +286,8 @@ proptest! {
     }
 }
 
-/// True concurrency: many client streams ingested from simultaneous
-/// threads against one coordinator still land bit-identically on the
+/// True concurrency: many client streams folded from simultaneous threads
+/// against one coordinator still land bit-identically on the
 /// single-threaded replay — the lock serializes folds, linearity makes
 /// their interleaving irrelevant.
 #[test]
@@ -236,22 +309,21 @@ fn concurrent_thread_fan_in_is_bit_identical() {
             let prototype = proto(backend);
             let coordinator =
                 MergeCoordinator::new(prototype.clone(), 0, 64, None, None).expect("config");
-            let pipeline = PipelinedIngest::new(2).with_batch_size(50);
             let barrier = std::sync::Barrier::new(CLIENTS);
             std::thread::scope(|scope| {
                 for (updates, cut) in &specs {
                     let coordinator = &coordinator;
                     let prototype = &prototype;
-                    let pipeline = &pipeline;
                     let barrier = &barrier;
                     scope.spawn(move || {
                         let bytes = encode_client(updates, *cut);
-                        let mut frames = FrameReader::new(bytes.as_slice()).expect("header");
+                        let client = ClientFolds::decode(&bytes, prototype, policy, 50);
+                        assert_eq!(client.ending.is_ok(), cut.is_none());
                         barrier.wait();
-                        let outcome = coordinator
-                            .ingest_stream(prototype, pipeline, policy, &mut frames)
-                            .expect("ingest");
-                        assert_eq!(outcome.completed(), cut.is_none());
+                        for (state, n) in &client.folds {
+                            fold(coordinator, state, *n);
+                        }
+                        client.note_ending(coordinator);
                     });
                 }
             });

@@ -14,8 +14,9 @@
 //! Also covered, over the reactor path specifically: command lines split
 //! across readiness events, wire frames split mid-frame across writes,
 //! oversized command lines, interleaved queries and ingest streams
-//! pipelined on one connection, the deterministic `BUSY` shed reply, and
-//! stream acks that stay durable while queries flush the same shard.
+//! pipelined on one connection, the deterministic `BUSY` shed reply,
+//! stream acks that stay durable while queries flush the same shard, and a
+//! stream of hostile deltas failing alone without taking the server down.
 
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -592,4 +593,79 @@ fn stream_acks_stay_durable_while_queries_flush_the_shard() {
     assert!(summary.clean_shutdown);
     assert_eq!(server.durable_count(), sent);
     assert_eq!(summary.stats.streams_completed, STREAMS);
+}
+
+/// Write `request` and read one reply line; the socket's read timeout
+/// turns a reply that never comes into a test failure.
+fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, request: &[u8]) -> Response {
+    stream.write_all(request).expect("send");
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("reply within the read timeout");
+    Response::parse(&line).unwrap_or_else(|e| panic!("unparsable reply {line:?}: {e}"))
+}
+
+/// A stream whose delta magnitudes sum past `i64::MAX` within one batch is
+/// refused with `ERR` under either policy, and the server stays whole:
+/// nothing of the stream reaches the serving state, `EST` still answers,
+/// and `QUIT` still shuts the server down.  Every wait is bounded, so a
+/// dead fold worker or a `serve` that never returns fails the test instead
+/// of hanging it.
+#[test]
+fn hostile_delta_total_fails_the_stream_not_the_server() {
+    const BOUND: Duration = Duration::from_secs(20);
+    let benign = [Update::new(3, 5), Update::new(9, -2), Update::new(3, 1)];
+    let hostile = [Update::new(7, i64::MAX), Update::new(7, 1)];
+    for policy in POLICIES {
+        let config = ServeConfig::new().with_policy(policy).with_workers(1);
+        let server =
+            Arc::new(GsumServer::boot(proto(HashBackend::Polynomial), config, None).expect("boot"));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // A detached server thread: a `serve` that never returns fails the
+        // bounded wait below instead of wedging a scope join.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let serving = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let _ = done_tx.send(serving.serve(listener).expect("serve"));
+        });
+        let connect = || {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream.set_read_timeout(Some(BOUND)).expect("read timeout");
+            let reader = BufReader::new(stream.try_clone().expect("clone"));
+            (stream, reader)
+        };
+
+        let (mut stream, mut reader) = connect();
+        let ack = exchange(&mut stream, &mut reader, &encode_client(&benign, None));
+        assert_eq!(ack, Response::Ok(benign.len() as u64), "{policy:?}");
+        match exchange(&mut stream, &mut reader, &encode_client(&hostile, None)) {
+            Response::Err(reason) => assert!(reason.contains("i64"), "{policy:?}: {reason:?}"),
+            other => panic!("{policy:?}: expected ERR for the hostile stream, got {other:?}"),
+        }
+        drop((stream, reader));
+
+        let (mut stream, mut reader) = connect();
+        assert!(
+            matches!(
+                exchange(&mut stream, &mut reader, b"EST\n"),
+                Response::Est { .. }
+            ),
+            "{policy:?}: EST must still answer"
+        );
+        assert_eq!(
+            exchange(&mut stream, &mut reader, b"COUNT\n"),
+            Response::Count(benign.len() as u64),
+            "{policy:?}: the hostile stream must leave the durable count unchanged"
+        );
+        assert_eq!(exchange(&mut stream, &mut reader, b"QUIT\n"), Response::Bye);
+        let summary = done_rx
+            .recv_timeout(BOUND)
+            .unwrap_or_else(|_| panic!("{policy:?}: serve did not return after QUIT"));
+        assert!(summary.clean_shutdown);
+        assert_eq!(summary.stats.streams_completed, 1);
+        assert_eq!(summary.stats.streams_failed, 1);
+        assert_eq!(server.durable_count(), benign.len() as u64);
+    }
 }

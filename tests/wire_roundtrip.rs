@@ -157,13 +157,14 @@ proptest! {
                 single.update(u);
             }
 
-            let reader = FrameReader::new(bytes.as_slice()).expect("header");
-            let (piped, count, _rest) = PipelinedIngest::new(workers)
+            let mut reader = FrameReader::new(bytes.as_slice()).expect("header");
+            let piped = PipelinedIngest::new(workers)
                 .with_batch_size(batch)
                 .with_channel_depth(depth)
-                .ingest_wire(reader, &prototype)
+                .ingest(&mut reader, &prototype)
                 .expect("wire ingest");
-            prop_assert_eq!(count, updates.len() as u64);
+            prop_assert_eq!(reader.updates_read(), updates.len() as u64);
+            reader.finish().expect("clean stream must finish");
             prop_assert_eq!(
                 piped.to_checkpoint_bytes().expect("save piped"),
                 single.to_checkpoint_bytes().expect("save single"),
