@@ -15,11 +15,9 @@
 //!   the polynomial family.
 //! * `sharded_N` — `ShardedIngest` across N worker threads (wall-clock
 //!   speedup needs a multi-core host; on one core it measures channel
-//!   overhead).  The `onepass_gsum` sharded/pipelined rows sweep both hash
-//!   backends; the `countsketch` sharded rows run polynomial only (the
-//!   backend sweep lives in the single-threaded countsketch rows).
-//! * `pipelined_N` — `PipelinedIngest`: one decode/coalesce stage feeding N
-//!   hash+apply workers over bounded channels (same single-core caveat).
+//!   overhead).  The `onepass_gsum` sharded rows sweep both hash backends;
+//!   the `countsketch` sharded rows run polynomial only (the backend sweep
+//!   lives in the single-threaded countsketch rows).
 //! * `hash_stage` / `apply_stage` — the coalesced CountSketch hot loop split
 //!   at the precompute-then-apply seam: `hash_stage` runs only the batched
 //!   `column_sign_batch` kernels over the coalesced keys (all rows),
@@ -49,8 +47,8 @@ use gsum_gfunc::library::PowerFunction;
 use gsum_hash::{HashBackend, RowHasher, SignBank, SignFamily, SignHashBank};
 use gsum_sketch::{CountSketch, CountSketchConfig};
 use gsum_streams::{
-    coalesce_updates, PipelinedIngest, ShardedIngest, StreamConfig, StreamGenerator, StreamSink,
-    TurnstileStream, ZipfStreamGenerator,
+    coalesce_updates, ShardedIngest, StreamConfig, StreamGenerator, StreamSink, TurnstileStream,
+    ZipfStreamGenerator,
 };
 use std::time::{Duration, Instant};
 
@@ -433,20 +431,6 @@ fn bench_gsum(
                 std::hint::black_box(&merged);
             },
         );
-        run(
-            results,
-            &format!("onepass_gsum/pipelined_2/{b}"),
-            updates,
-            budget,
-            || gsum_sketch(backend),
-            |prototype| {
-                let merged = PipelinedIngest::new(2)
-                    .with_batch_size(2048)
-                    .ingest(&mut s.source(), &prototype)
-                    .unwrap();
-                std::hint::black_box(&merged);
-            },
-        );
     }
 }
 
@@ -475,7 +459,7 @@ fn write_json(
     out.push_str("  \"schema_version\": 6,\n");
     // Provenance metadata: which commit produced these numbers, which hash
     // backends and coalescing modes the matrix swept, how many hardware
-    // threads the host offered (sharded/pipelined numbers are meaningless
+    // threads the host offered (sharded numbers are meaningless
     // without it — a single-core host measures channel overhead, not
     // speedup), and whether this was a quick smoke run — so the bench
     // trajectory across PRs is self-describing without consulting CI logs.

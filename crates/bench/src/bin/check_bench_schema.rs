@@ -21,7 +21,7 @@
 //! * `meta`: non-empty `git_commit`, non-empty `backends` and
 //!   `coalescing_modes` string arrays, a `default_backend` contained in
 //!   `backends`, an integral `available_parallelism ≥ 1` (new in v3 —
-//!   sharded/pipelined numbers are uninterpretable without the host's
+//!   sharded numbers are uninterpretable without the host's
 //!   hardware-thread count), boolean `quick`;
 //! * `results`: non-empty; every entry carries `name` (shaped
 //!   `family/mode/backend`), `mode` and `backend` fields that agree with the
@@ -83,15 +83,13 @@ const EXPECTED_SERVE_SCHEMA_VERSION: f64 = 2.0;
 /// hot-path variants across both hash backends, the countsketch
 /// stage-split rows and the `coalesced_full` totals they decompose, and
 /// the AMS sign-kernel rows for both sign families.
-const REQUIRED_RESULTS: [&str; 14] = [
+const REQUIRED_RESULTS: [&str; 12] = [
     "ams/eval_stage/polynomial4",
     "ams/eval_stage/tabulation",
     "onepass_gsum/coalesced_full/polynomial",
     "onepass_gsum/coalesced_full/tabulation",
     "onepass_gsum/sharded_2/polynomial",
     "onepass_gsum/sharded_2/tabulation",
-    "onepass_gsum/pipelined_2/polynomial",
-    "onepass_gsum/pipelined_2/tabulation",
     "countsketch/coalesced_full/polynomial",
     "countsketch/coalesced_full/tabulation",
     "countsketch/hash_stage/polynomial",
@@ -570,7 +568,7 @@ mod tests {
             "git_commit": "abc123",
             "backends": ["polynomial", "tabulation", "polynomial4"],
             "default_backend": "polynomial",
-            "coalescing_modes": ["per_update", "sharded_2", "coalesced_full", "pipelined_2",
+            "coalescing_modes": ["per_update", "sharded_2", "coalesced_full",
                                  "hash_stage", "apply_stage", "eval_stage"],
             "available_parallelism": 4,
             "quick": true
@@ -621,12 +619,6 @@ mod tests {
              "backend": "polynomial", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
              "iterations": 8},
             {"name": "onepass_gsum/sharded_2/tabulation", "mode": "sharded_2",
-             "backend": "tabulation", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
-             "iterations": 8},
-            {"name": "onepass_gsum/pipelined_2/polynomial", "mode": "pipelined_2",
-             "backend": "polynomial", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
-             "iterations": 8},
-            {"name": "onepass_gsum/pipelined_2/tabulation", "mode": "pipelined_2",
              "backend": "tabulation", "ns_per_iter": 10.0, "updates_per_sec": 100.0,
              "iterations": 8}
           ]
@@ -909,13 +901,13 @@ mod tests {
     #[test]
     fn missing_required_gsum_row_is_caught() {
         let doc = valid_doc().replace(
-            "onepass_gsum/pipelined_2/polynomial",
-            "onepass_gsum/pipelined_9/polynomial",
+            "onepass_gsum/sharded_2/polynomial",
+            "onepass_gsum/sharded_9/polynomial",
         );
         let violations = violations_of(&doc);
         assert!(violations
             .iter()
-            .any(|v| v.contains("onepass_gsum/pipelined_2/polynomial") && v.contains("missing")));
+            .any(|v| v.contains("onepass_gsum/sharded_2/polynomial") && v.contains("missing")));
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! workspace's linear sketches.
 //!
 //! The paper's sketches are **linear**, so independently-built per-client
-//! states merge into exactly the single-threaded state — the property the
-//! sharded ingest (PR 1/2), the checkpoint layer (PR 3) and the pipelined
-//! wire ingest (PR 4) all exploit.  This crate turns that property into a
-//! serving topology (the standard mergeable-sketch fan-in, cf. the
-//! universal-sketch line of work): a single **reactor** thread multiplexes
-//! every connection over a non-blocking listener, decoding framed streams
-//! incrementally through the resumable
+//! states merge into exactly the single-threaded state — the property
+//! [`ShardedIngest`](gsum_streams::ShardedIngest) (including over framed
+//! wire streams) and the checkpoint layer both exploit.  This crate turns
+//! that property into a serving topology (the standard mergeable-sketch
+//! fan-in, cf. the universal-sketch line of work): a single **reactor**
+//! thread multiplexes every connection over a non-blocking listener,
+//! decoding framed streams incrementally through the resumable
 //! [`FrameDecoder`](gsum_streams::FrameDecoder), and fans decoded batches
 //! out to a **bounded pool of fold workers** whose per-worker shard
 //! sketches fold into the long-lived serving state on query, checkpoint

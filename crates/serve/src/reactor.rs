@@ -34,9 +34,10 @@
 //! count moves in K-slices and the crash lands between deterministic
 //! persistence points.
 //!
-//! Hostile deltas are stopped at dispatch: a batch whose Σ|δ| exceeds
-//! `i64::MAX` fails its stream before any worker coalesces it, so no
-//! summation order can overflow an item's `i64` total.
+//! Hostile deltas are stopped at dispatch: a batch that fails
+//! [`check_delta_magnitudes`] (Σ|δ| past `i64::MAX`) fails its stream
+//! before any worker coalesces it, so no summation order can overflow an
+//! item's `i64` total.
 
 use crate::coordinator::{FoldOutcome, MergeCoordinator};
 use crate::error::ServeError;
@@ -45,7 +46,7 @@ use crate::protocol::{Command, Response};
 use crate::server::ServeConfig;
 use crate::ServableSketch;
 use gsum_streams::wire::WIRE_MAGIC;
-use gsum_streams::{FrameDecoder, Update};
+use gsum_streams::{check_delta_magnitudes, FrameDecoder, Update};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -886,20 +887,16 @@ impl<S: ServableSketch> Reactor<'_, S> {
         conn.dead = true;
     }
 
-    /// Ship the connection's decoded batch to its worker.  A batch whose
-    /// Σ|δ| exceeds `i64::MAX` is dropped instead and the reason returned:
-    /// under that bound no coalescing order can overflow an item's `i64`
-    /// total, so hostile deltas can neither panic a worker nor wrap
+    /// Ship the connection's decoded batch to its worker.  A batch that
+    /// fails [`check_delta_magnitudes`] is dropped instead and the reason
+    /// returned, so hostile deltas can neither panic a worker nor wrap
     /// silently into its sketch.
     fn dispatch_batch(&self, conn: &mut Conn) -> Result<(), String> {
         if conn.batch.is_empty() {
             return Ok(());
         }
         let updates = std::mem::take(&mut conn.batch);
-        let magnitude = updates
-            .iter()
-            .try_fold(0u64, |sum, u| sum.checked_add(u.delta.unsigned_abs()));
-        if !matches!(magnitude, Some(m) if m <= i64::MAX as u64) {
+        if check_delta_magnitudes(&updates).is_err() {
             return Err(format!(
                 "rejected a batch of {} updates: its delta magnitudes sum past i64::MAX",
                 updates.len()

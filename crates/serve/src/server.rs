@@ -21,7 +21,7 @@ use crate::observer::{default_observer, ServeEvent, ServeObserver};
 use crate::policy::ServePolicy;
 use crate::reactor;
 use crate::ServableSketch;
-use gsum_streams::PipelinedIngest;
+use gsum_streams::ShardedIngest;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,7 +31,7 @@ use std::sync::Arc;
 pub struct ServeConfig {
     policy: ServePolicy,
     checkpoint_every: usize,
-    pipeline: PipelinedIngest,
+    pipeline: ShardedIngest,
     crash_after: Option<u64>,
     client_read_timeout: Option<std::time::Duration>,
     workers: usize,
@@ -61,14 +61,14 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration: [`ServePolicy::DiscardPartial`], a
-    /// snapshot every 512 merged updates, the default [`PipelinedIngest`]
+    /// snapshot every 512 merged updates, the default [`ShardedIngest`]
     /// batch size and channel depth, a 30-second client read timeout, 2
     /// fold workers, a 256-connection cap.
     pub fn new() -> Self {
         Self {
             policy: ServePolicy::default(),
             checkpoint_every: 512,
-            pipeline: PipelinedIngest::new(2),
+            pipeline: ShardedIngest::new(2),
             crash_after: None,
             client_read_timeout: Some(std::time::Duration::from_secs(30)),
             workers: 2,
@@ -103,11 +103,13 @@ impl ServeConfig {
         Ok(self)
     }
 
-    /// The reactor reads two values from this config: its batch size is the
-    /// dispatch granularity (decoded updates per worker message) and its
-    /// channel depth is each fold worker's queue bound.  Its `workers()` is
-    /// ignored; [`with_workers`](Self::with_workers) sizes the fold pool.
-    pub fn with_pipeline(mut self, pipeline: PipelinedIngest) -> Self {
+    /// The reactor reads two values from this topology: its
+    /// [`batch_size`](ShardedIngest::batch_size) is the dispatch granularity
+    /// (decoded updates per worker message) and its
+    /// [`channel_depth`](ShardedIngest::channel_depth) is each fold worker's
+    /// queue bound.  Its `shards()` is ignored;
+    /// [`with_workers`](Self::with_workers) sizes the fold pool.
+    pub fn with_pipeline(mut self, pipeline: ShardedIngest) -> Self {
         self.pipeline = pipeline;
         self
     }
@@ -199,8 +201,9 @@ impl ServeConfig {
         self.checkpoint_every
     }
 
-    /// The configured pipeline topology.
-    pub fn pipeline(&self) -> PipelinedIngest {
+    /// The configured ingest topology, whose batch size and channel depth
+    /// the reactor reads (see [`with_pipeline`](Self::with_pipeline)).
+    pub fn pipeline(&self) -> ShardedIngest {
         self.pipeline
     }
 

@@ -33,6 +33,7 @@
 //! an unknown hash-backend tag or inconsistent dimensions all surface as
 //! [`CheckpointError`]s.
 
+use crate::sharded::IngestError;
 use crate::sink::MergeError;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -105,6 +106,12 @@ pub enum CheckpointError {
     /// A merge performed while resuming or coordinating failed (seed, shape
     /// or phase mismatch between the checkpoint and the live state).
     Merge(MergeError),
+    /// An ingest performed while resuming or coordinating rejected a batch
+    /// whose Σ|δ| passes `i64::MAX` (see [`IngestError::DeltaOverflow`]).
+    DeltaOverflow {
+        /// The item at which the batch's running Σ|δ| passed `i64::MAX`.
+        item: u64,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -126,6 +133,10 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::Corrupt(reason) => write!(f, "corrupt checkpoint: {reason}"),
             CheckpointError::Merge(e) => write!(f, "checkpoint merge failed: {e}"),
+            CheckpointError::DeltaOverflow { item } => write!(
+                f,
+                "ingest rejected a batch: its delta magnitudes sum past i64::MAX at item {item}"
+            ),
         }
     }
 }
@@ -149,6 +160,15 @@ impl From<io::Error> for CheckpointError {
 impl From<MergeError> for CheckpointError {
     fn from(e: MergeError) -> Self {
         CheckpointError::Merge(e)
+    }
+}
+
+impl From<IngestError> for CheckpointError {
+    fn from(e: IngestError) -> Self {
+        match e {
+            IngestError::Merge(e) => CheckpointError::Merge(e),
+            IngestError::DeltaOverflow { item } => CheckpointError::DeltaOverflow { item },
+        }
     }
 }
 

@@ -18,22 +18,20 @@
 //!   linear sketches) mergeable across shards.
 //! * [`UpdateSource`] — the lazy, pull-based dual: workload generators yield
 //!   updates one at a time without materializing a `Vec<Update>`.
-//! * [`ShardedIngest`] — splits an [`UpdateSource`] across worker threads,
-//!   each feeding a clone of a prototype sketch, then merges; supports
-//!   checkpointed stop/resume ([`ShardedIngest::ingest_limited`] /
-//!   [`ShardedIngest::resume`]).
+//! * [`ShardedIngest`] — the one in-process concurrent-ingest topology: the
+//!   caller thread batches an [`UpdateSource`] and feeds N worker clones of
+//!   a prototype sketch over *bounded* channels of configurable depth (a
+//!   fast producer blocks instead of buffering unboundedly), then merges;
+//!   the result is bit-identical to single-threaded ingestion.  Every batch
+//!   passes [`check_delta_magnitudes`] first, so hostile deltas surface as
+//!   [`IngestError::DeltaOverflow`].  Supports checkpointed stop/resume
+//!   ([`ShardedIngest::ingest_limited`] / [`ShardedIngest::resume`]);
+//!   configuration is validated with typed [`IngestConfigError`]s.
 //! * [`wire`] — the framed wire format for update streams in motion:
 //!   [`FrameWriter`] / [`FrameReader`] speak a versioned little-endian
 //!   magic/length-prefixed framing with an explicit end-of-stream frame;
 //!   `FrameReader` implements [`UpdateSource`], so a socket plugs into any
 //!   sink unchanged, and malformed bytes are typed [`WireError`]s.
-//! * [`PipelinedIngest`] — backpressure-aware pipelined ingestion: a
-//!   decode/coalesce stage feeds N hash+apply workers over *bounded*
-//!   channels of configurable depth, so a fast producer blocks instead of
-//!   buffering unboundedly; the result is bit-identical to single-threaded
-//!   ingestion.  Configuration (worker count, batch size, channel depth) is
-//!   validated with typed [`IngestConfigError`]s shared with
-//!   [`ShardedIngest`]'s `try_*` constructors.
 //! * [`checkpoint`] — the versioned snapshot/restore layer: the
 //!   [`Checkpoint`] trait, its little-endian binary format, and the
 //!   [`CheckpointError`] taxonomy.  A linear sketch's whole state is
@@ -58,7 +56,6 @@ pub mod error;
 pub mod frequency;
 pub mod generator;
 pub mod multipass;
-pub mod pipeline;
 pub mod scratch;
 pub mod sharded;
 pub mod sink;
@@ -76,11 +73,10 @@ pub use generator::{
     StreamConfig, StreamGenerator, UniformStreamGenerator, ZipfStreamGenerator,
 };
 pub use multipass::{run_multi_pass, run_one_pass, MultiPassAlgorithm, OnePassAlgorithm};
-pub use pipeline::{IngestConfigError, PipelineError, PipelinedIngest};
 pub use scratch::IngestScratch;
-pub use sharded::ShardedIngest;
+pub use sharded::{IngestConfigError, IngestError, ShardedIngest};
 pub use sink::{
-    checked_coalesce_updates, coalesce_into, coalesce_updates, is_coalesced, MergeError,
+    check_delta_magnitudes, coalesce_into, coalesce_updates, is_coalesced, MergeError,
     MergeableSketch, StreamSink,
 };
 pub use source::{IterSource, StreamSource, UpdateSource};

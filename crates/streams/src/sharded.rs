@@ -1,4 +1,5 @@
-//! Sharded parallel ingestion.
+//! Sharded parallel ingestion — the workspace's one in-process
+//! concurrent-ingest topology.
 //!
 //! Linear sketches make parallel ingestion trivial: clone one prototype
 //! sketch per worker (identical hash seeds), split the update stream across
@@ -8,9 +9,24 @@
 //! that `f64` represents exactly — the merged result is *identical* to
 //! single-threaded ingestion of the same updates, in any order.
 //!
-//! This is the ingestion topology a production deployment uses: N ingest
-//! workers behind a load balancer, each absorbing a shard of the traffic,
-//! with a periodic merge producing the queryable global sketch.
+//! ```text
+//! producer (caller thread)              N workers
+//! pull from UpdateSource, batch,  ──chan──▶  coalesce + hash + apply into
+//! check Σ|δ|, round-robin fan-out            sketch clones; merge at the end
+//! ```
+//!
+//! Every arrow is a **bounded** `sync_channel` of configurable depth
+//! ([`with_channel_depth`](ShardedIngest::with_channel_depth)): when the
+//! workers lag, the producer blocks — and when the producer is a
+//! [`FrameReader`](crate::FrameReader) on a socket, that blocking propagates
+//! to the peer through TCP flow control.  A fast producer can never outrun a
+//! slow worker into unbounded memory.
+//!
+//! Because the source may sit on an untrusted socket, the producer checks
+//! every batch with [`check_delta_magnitudes`] — the same predicate the
+//! serving reactor applies — and a batch whose Σ|δ| passes `i64::MAX`
+//! surfaces as [`IngestError::DeltaOverflow`], never a worker panic or a
+//! silently wrapped counter.
 //!
 //! Long-running ingestions are also *checkpointable*: [`ShardedIngest::ingest_limited`]
 //! stops after a bounded number of updates so the merged state can be
@@ -19,11 +35,79 @@
 //! final state is bit-identical to an uninterrupted run.
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::pipeline::{validate_batch, validate_depth, validate_workers, IngestConfigError};
-use crate::sink::{MergeError, MergeableSketch, StreamSink};
+use crate::sink::{check_delta_magnitudes, MergeError, MergeableSketch, StreamSink};
 use crate::source::{TakeSource, UpdateSource};
 use crate::update::Update;
+use std::fmt;
 use std::sync::mpsc;
+
+/// A rejected ingestion configuration value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IngestConfigError {
+    /// `shards == 0`: there must be at least one state absorbing updates.
+    NoWorkers,
+    /// `batch == 0`: an empty handoff batch can never drain a source.
+    ZeroBatch,
+    /// `depth == 0`: a `sync_channel` of depth zero would rendezvous every
+    /// handoff, serializing the producer with the workers.
+    ZeroDepth,
+}
+
+impl fmt::Display for IngestConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IngestConfigError::NoWorkers => write!(f, "need at least one shard worker"),
+            IngestConfigError::ZeroBatch => write!(f, "batch size must be positive"),
+            IngestConfigError::ZeroDepth => write!(f, "channel depth must be positive"),
+        }
+    }
+}
+
+impl std::error::Error for IngestConfigError {}
+
+/// Error from a sharded ingestion.
+#[derive(Debug)]
+pub enum IngestError {
+    /// The worker sketches failed to merge (never happens for clones of one
+    /// prototype; surfaces configuration bugs with explicit worker states).
+    Merge(MergeError),
+    /// A handoff batch's Σ|δ| passes `i64::MAX`.  A wire frame can legally
+    /// carry any `i64` deltas, but such a batch violates the turnstile
+    /// model's magnitude promise `|v_i| ≤ M`, so the producer rejects it
+    /// (see [`check_delta_magnitudes`]) before any worker coalesces it.
+    DeltaOverflow {
+        /// The item at which the batch's running Σ|δ| passed `i64::MAX`.
+        item: u64,
+    },
+}
+
+impl fmt::Display for IngestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IngestError::Merge(e) => write!(f, "sharded ingest merge error: {e}"),
+            IngestError::DeltaOverflow { item } => write!(
+                f,
+                "sharded ingest rejected a batch: its delta magnitudes sum past i64::MAX at \
+                 item {item}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for IngestError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            IngestError::Merge(e) => Some(e),
+            IngestError::DeltaOverflow { .. } => None,
+        }
+    }
+}
+
+impl From<MergeError> for IngestError {
+    fn from(e: MergeError) -> Self {
+        IngestError::Merge(e)
+    }
+}
 
 /// Configuration for sharded ingestion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,19 +127,21 @@ impl ShardedIngest {
         Self::try_new(shards).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible constructor: rejects `shards == 0` with a typed error —
-    /// the same validation [`PipelinedIngest`](crate::PipelinedIngest)
-    /// applies to its worker count.
+    /// Fallible constructor: rejects `shards == 0` with a typed error.
     pub fn try_new(shards: usize) -> Result<Self, IngestConfigError> {
+        if shards == 0 {
+            return Err(IngestConfigError::NoWorkers);
+        }
         Ok(Self {
-            shards: validate_workers(shards)?,
+            shards,
             batch: 1024,
             depth: 4,
         })
     }
 
     /// Override the number of updates per message handed to a worker
-    /// (larger batches amortize channel overhead).
+    /// (larger batches amortize channel overhead; smaller batches tighten
+    /// backpressure granularity).
     ///
     /// # Panics
     /// Panics if `batch == 0`; use
@@ -68,7 +154,10 @@ impl ShardedIngest {
 
     /// Fallible builder: rejects `batch == 0`.
     pub fn try_with_batch_size(mut self, batch: usize) -> Result<Self, IngestConfigError> {
-        self.batch = validate_batch(batch)?;
+        if batch == 0 {
+            return Err(IngestConfigError::ZeroBatch);
+        }
+        self.batch = batch;
         Ok(self)
     }
 
@@ -87,13 +176,21 @@ impl ShardedIngest {
 
     /// Fallible builder: rejects `depth == 0`.
     pub fn try_with_channel_depth(mut self, depth: usize) -> Result<Self, IngestConfigError> {
-        self.depth = validate_depth(depth)?;
+        if depth == 0 {
+            return Err(IngestConfigError::ZeroDepth);
+        }
+        self.depth = depth;
         Ok(self)
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards
+    }
+
+    /// Updates per message handed to a worker.
+    pub fn batch_size(&self) -> usize {
+        self.batch
     }
 
     /// Bounded per-worker channel depth.
@@ -107,8 +204,10 @@ impl ShardedIngest {
     ///
     /// The clones share the prototype's hash seeds, so the merge is exact:
     /// the result answers every query identically to a single sketch that
-    /// absorbed the whole stream.
-    pub fn ingest<Src, S>(&self, source: &mut Src, prototype: &S) -> Result<S, MergeError>
+    /// absorbed the whole stream.  A batch whose Σ|δ| passes `i64::MAX`
+    /// (possible only for hostile or model-violating input) stops the
+    /// ingestion with [`IngestError::DeltaOverflow`].
+    pub fn ingest<Src, S>(&self, source: &mut Src, prototype: &S) -> Result<S, IngestError>
     where
         Src: UpdateSource,
         S: StreamSink + MergeableSketch + Clone + Send,
@@ -129,7 +228,7 @@ impl ShardedIngest {
         source: &mut Src,
         prototype: &S,
         limit: usize,
-    ) -> Result<(S, usize), MergeError>
+    ) -> Result<(S, usize), IngestError>
     where
         Src: UpdateSource,
         S: StreamSink + MergeableSketch + Clone + Send,
@@ -177,7 +276,7 @@ impl ShardedIngest {
     ///
     /// # Panics
     /// Panics if `states.len() != self.shards()`.
-    pub fn ingest_states<Src, S>(&self, source: &mut Src, states: Vec<S>) -> Result<S, MergeError>
+    pub fn ingest_states<Src, S>(&self, source: &mut Src, states: Vec<S>) -> Result<S, IngestError>
     where
         Src: UpdateSource,
         S: StreamSink + MergeableSketch + Send,
@@ -185,7 +284,7 @@ impl ShardedIngest {
         assert_eq!(states.len(), self.shards, "one worker state per shard");
         if self.shards == 1 {
             let mut sketch = states.into_iter().next().expect("one state");
-            source.feed_batched(&mut sketch, self.batch);
+            self.produce(source, |batch| sketch.update_batch(batch))?;
             return Ok(sketch);
         }
 
@@ -205,32 +304,27 @@ impl ShardedIngest {
                 }));
             }
 
-            // Round-robin batches over the shards.
+            // Round-robin batches over the shards.  The producer stays on
+            // the caller thread because `Src` need not be `Send` (a
+            // FrameReader on a socket isn't required to be).
             let mut shard = 0usize;
-            let mut buf: Vec<Update> = Vec::with_capacity(self.batch);
-            loop {
-                buf.clear();
-                while buf.len() < self.batch {
-                    match source.next_update() {
-                        Some(u) => buf.push(u),
-                        None => break,
-                    }
-                }
-                if buf.is_empty() {
-                    break;
-                }
+            let produced = self.produce(source, |batch| {
+                let full = std::mem::replace(batch, Vec::with_capacity(self.batch));
                 senders[shard]
-                    .send(std::mem::replace(&mut buf, Vec::with_capacity(self.batch)))
+                    .send(full)
                     .expect("worker alive while its sender is held");
                 shard = (shard + 1) % self.shards;
-            }
+            });
+            // Closing the channels (normally or after a rejected batch)
+            // lets every worker drain its queue and return.
             drop(senders);
 
-            handles
+            let shard_results = handles
                 .into_iter()
                 .map(|h| h.join().expect("shard worker panicked"))
-                .collect::<Vec<S>>()
-        });
+                .collect::<Vec<S>>();
+            produced.map(|()| shard_results)
+        })?;
 
         let mut iter = shard_results.into_iter();
         let mut merged = iter.next().expect("at least one shard");
@@ -238,6 +332,32 @@ impl ShardedIngest {
             merged.merge(&other)?;
         }
         Ok(merged)
+    }
+
+    /// The producer: pull `source` dry in batches of `self.batch`, check
+    /// each batch with [`check_delta_magnitudes`], and hand it to
+    /// `deliver`.  A rejected batch stops production before `deliver` sees
+    /// it.
+    fn produce<Src: UpdateSource>(
+        &self,
+        source: &mut Src,
+        mut deliver: impl FnMut(&mut Vec<Update>),
+    ) -> Result<(), IngestError> {
+        let mut buf: Vec<Update> = Vec::with_capacity(self.batch);
+        loop {
+            buf.clear();
+            while buf.len() < self.batch {
+                match source.next_update() {
+                    Some(u) => buf.push(u),
+                    None => break,
+                }
+            }
+            if buf.is_empty() {
+                return Ok(());
+            }
+            check_delta_magnitudes(&buf).map_err(|item| IngestError::DeltaOverflow { item })?;
+            deliver(&mut buf);
+        }
     }
 }
 
@@ -251,6 +371,7 @@ mod tests {
     use crate::frequency::FrequencyVector;
     use crate::generator::{StreamConfig, StreamGenerator, UniformStreamGenerator};
     use crate::stream::TurnstileStream;
+    use crate::wire::{encode_updates, FrameReader};
 
     /// A frequency vector is itself a (trivially mergeable) linear sketch.
     #[derive(Debug, Clone)]
@@ -310,21 +431,99 @@ mod tests {
     }
 
     #[test]
-    fn sharded_equals_single_threaded() {
+    fn sharded_equals_single_threaded_across_shards_and_depths() {
         let mut gen = UniformStreamGenerator::new(StreamConfig::turnstile(128, 20_000, 0.2), 7);
         let reference = gen.generate();
 
-        for shards in [1usize, 2, 4, 8] {
-            gen.reset();
-            let merged = ShardedIngest::new(shards)
-                .with_batch_size(256)
-                .ingest(&mut gen, &exact(128))
-                .unwrap();
-            assert_eq!(
-                merged.fv,
-                reference.frequency_vector(),
-                "sharded ({shards}) ingestion must agree with the exact frequency vector"
+        for shards in [1usize, 2, 3, 4, 8] {
+            for depth in [1usize, 2, 8, 16] {
+                gen.reset();
+                let merged = ShardedIngest::new(shards)
+                    .with_batch_size(256)
+                    .with_channel_depth(depth)
+                    .ingest(&mut gen, &exact(128))
+                    .unwrap();
+                assert_eq!(
+                    merged.fv,
+                    reference.frequency_vector(),
+                    "sharded ({shards} shards, depth {depth}) ingestion must agree with the \
+                     exact frequency vector"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wire_stream_ingests_end_to_end() {
+        let mut gen = UniformStreamGenerator::new(StreamConfig::turnstile(64, 3_000, 0.2), 3);
+        let reference = gen.generate();
+        let bytes = encode_updates(64, reference.updates()).unwrap();
+
+        let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
+        let merged = ShardedIngest::new(3)
+            .with_batch_size(128)
+            .ingest(&mut reader, &exact(64))
+            .unwrap();
+        assert_eq!(reader.updates_read(), reference.len() as u64);
+        reader.finish().unwrap();
+        assert_eq!(merged.fv, reference.frequency_vector());
+    }
+
+    #[test]
+    fn overflowing_delta_magnitudes_are_a_typed_error_not_a_panic() {
+        // A legal wire frame can carry any i64 deltas; a crafted batch whose
+        // Σ|δ| passes i64::MAX must surface as DeltaOverflow from the
+        // producer — with debug overflow checks on, a worker coalescing it
+        // would panic instead.  One shard takes the short-circuit path.
+        let hostile = vec![Update::new(7, i64::MAX), Update::new(7, 1)];
+        let bytes = encode_updates(64, &hostile).unwrap();
+        for shards in [1usize, 2] {
+            let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
+            let err = ShardedIngest::new(shards)
+                .ingest(&mut reader, &exact(64))
+                .expect_err("overflow must be rejected");
+            assert!(
+                matches!(err, IngestError::DeltaOverflow { item: 7 }),
+                "{err}"
             );
+            assert!(err.to_string().contains("i64::MAX"), "{err}");
+        }
+
+        // The same through a plain source with plenty left behind the
+        // rejected batch: production stops at the reject and the workers
+        // shut down cleanly.
+        let mut updates: Vec<Update> = vec![Update::new(3, i64::MIN), Update::new(3, -1)];
+        updates.extend((0..50_000u64).map(|i| Update::new(i % 64, 1)));
+        let mut src = crate::source::IterSource::new(64, updates.into_iter());
+        let err = ShardedIngest::new(2)
+            .with_batch_size(16)
+            .ingest(&mut src, &exact(64))
+            .expect_err("overflow must be rejected");
+        assert!(
+            matches!(err, IngestError::DeltaOverflow { item: 3 }),
+            "{err}"
+        );
+        assert_eq!(src.updates().count(), 50_000 + 2 - 16);
+
+        // A reject after the workers already hold batches: everything
+        // before the rejected batch was delivered, nothing after it is read.
+        let mut updates: Vec<Update> = (0..10_000u64).map(|i| Update::new(i % 64, 1)).collect();
+        updates.extend_from_slice(&hostile);
+        updates.extend((0..10_000u64).map(|i| Update::new(i % 64, -1)));
+        let bytes = encode_updates(64, &updates).unwrap();
+        for shards in [1usize, 2, 4] {
+            let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
+            let err = ShardedIngest::new(shards)
+                .with_batch_size(64)
+                .with_channel_depth(1)
+                .ingest(&mut reader, &exact(64))
+                .expect_err("overflow must be rejected");
+            assert!(
+                matches!(err, IngestError::DeltaOverflow { item: 7 }),
+                "{err}"
+            );
+            // The hostile pair sits in the batch covering 9_984..10_048.
+            assert_eq!(reader.updates_read(), 10_048, "{shards} shards");
         }
     }
 
@@ -354,8 +553,8 @@ mod tests {
         let mut gen = UniformStreamGenerator::new(StreamConfig::turnstile(64, 5_000, 0.2), 11);
         let reference = gen.generate();
 
-        for shards in [1usize, 3] {
-            for limit in [0usize, 1, 1_000, 4_999, 5_000, 9_999] {
+        for shards in [1usize, 2, 3] {
+            for limit in [0usize, 1, 1_000, 2_000, 4_999, 5_000, 9_999] {
                 gen.reset();
                 let ingest = ShardedIngest::new(shards).with_batch_size(64);
                 let (partial, consumed) =
@@ -406,7 +605,6 @@ mod tests {
 
     #[test]
     fn try_constructors_reject_zeros_with_typed_errors() {
-        use crate::pipeline::IngestConfigError;
         assert_eq!(ShardedIngest::try_new(0), Err(IngestConfigError::NoWorkers));
         assert_eq!(
             ShardedIngest::try_new(2).unwrap().try_with_batch_size(0),
@@ -422,22 +620,21 @@ mod tests {
             .unwrap()
             .try_with_channel_depth(8)
             .unwrap();
-        assert_eq!((ok.shards(), ok.channel_depth()), (2, 8));
+        assert_eq!(
+            (ok.shards(), ok.batch_size(), ok.channel_depth()),
+            (2, 512, 8)
+        );
+        let defaults = ShardedIngest::new(3);
+        assert_eq!((defaults.batch_size(), defaults.channel_depth()), (1024, 4));
     }
 
     #[test]
-    fn channel_depth_does_not_change_the_result() {
-        let mut gen = UniformStreamGenerator::new(StreamConfig::turnstile(64, 4_000, 0.2), 3);
-        let reference = gen.generate();
-        for depth in [1usize, 2, 16] {
-            gen.reset();
-            let merged = ShardedIngest::new(3)
-                .with_batch_size(128)
-                .with_channel_depth(depth)
-                .ingest(&mut gen, &exact(64))
-                .unwrap();
-            assert_eq!(merged.fv, reference.frequency_vector(), "depth {depth}");
-        }
+    fn config_error_display_is_informative() {
+        assert!(IngestConfigError::NoWorkers
+            .to_string()
+            .contains("at least one"));
+        assert!(IngestConfigError::ZeroBatch.to_string().contains("batch"));
+        assert!(IngestConfigError::ZeroDepth.to_string().contains("depth"));
     }
 
     #[test]

@@ -46,29 +46,27 @@ pub fn coalesce_updates(updates: &[Update]) -> Vec<Update> {
     out
 }
 
-/// Coalesce a batch with *checked* delta accumulation: like
-/// [`coalesce_updates`], but an item whose total over the batch overflows
-/// `i64` is reported as `Err(item)` instead of wrapping (release) or
-/// panicking (debug).
+/// Check a batch against the turnstile model's magnitude promise: `Ok` when
+/// the batch's Σ|δ| is at most `i64::MAX`, otherwise `Err(item)` naming the
+/// update at which the running Σ|δ| first passes it.
 ///
-/// This is the boundary-safe variant for input that crosses a trust
-/// boundary — a wire frame can legally carry any `i64` deltas, and a
-/// crafted `[(i, i64::MAX), (i, 1)]` batch must surface as a typed error,
-/// not undefined-looking counter state.  An overflowing total also violates
-/// the turnstile model's prefix promise `|v_i| ≤ M`, so rejecting the batch
-/// is the honest outcome.
-pub fn checked_coalesce_updates(updates: &[Update]) -> Result<Vec<Update>, u64> {
-    let mut totals: HashMap<u64, i64> = HashMap::with_capacity(updates.len().min(1024));
+/// Under that bound no summation order can overflow an item's `i64` total,
+/// so a batch that passes can be coalesced ([`coalesce_into`]) and applied
+/// by any worker without panicking (debug) or wrapping (release).  Updates
+/// that cross a trust boundary — a wire frame can legally carry any `i64`
+/// deltas — must pass this check before a sketch sees them; both
+/// [`ShardedIngest`](crate::ShardedIngest) and the serving reactor call it
+/// on every batch.
+pub fn check_delta_magnitudes(updates: &[Update]) -> Result<(), u64> {
+    let mut sum = 0u64;
     for u in updates {
-        let total = totals.entry(u.item).or_insert(0);
-        *total = total.checked_add(u.delta).ok_or(u.item)?;
+        // `sum ≤ i64::MAX` and `|δ| ≤ 2^63`, so the addition cannot wrap.
+        sum += u.delta.unsigned_abs();
+        if sum > i64::MAX as u64 {
+            return Err(u.item);
+        }
     }
-    let mut out: Vec<Update> = totals
-        .into_iter()
-        .map(|(item, delta)| Update { item, delta })
-        .collect();
-    out.sort_unstable_by_key(|u| u.item);
-    Ok(out)
+    Ok(())
 }
 
 /// Whether a batch is already in coalesced form (strictly increasing item
@@ -280,31 +278,36 @@ mod tests {
     }
 
     #[test]
-    fn checked_coalesce_matches_unchecked_when_in_range() {
-        let batch = vec![
-            Update::new(5, 3),
-            Update::new(1, -2),
-            Update::new(5, -3),
-            Update::new(2, 10),
-        ];
+    fn delta_magnitude_check_accepts_batches_up_to_the_bound() {
+        assert_eq!(check_delta_magnitudes(&[]), Ok(()));
+        let batch = [Update::new(5, 3), Update::new(1, -2), Update::new(5, -3)];
+        assert_eq!(check_delta_magnitudes(&batch), Ok(()));
+        // Σ|δ| = i64::MAX exactly is still in range.
+        let edge = [Update::new(1, i64::MAX - 1), Update::new(2, -1)];
+        assert_eq!(check_delta_magnitudes(&edge), Ok(()));
         assert_eq!(
-            checked_coalesce_updates(&batch).unwrap(),
-            coalesce_updates(&batch)
+            check_delta_magnitudes(&[Update::new(3, i64::MIN + 1)]),
+            Ok(())
         );
     }
 
     #[test]
-    fn checked_coalesce_reports_the_overflowing_item() {
-        let overflow_pos = vec![Update::new(9, i64::MAX), Update::new(9, 1)];
-        assert_eq!(checked_coalesce_updates(&overflow_pos), Err(9));
-        let overflow_neg = vec![Update::new(4, i64::MIN), Update::new(4, -1)];
-        assert_eq!(checked_coalesce_updates(&overflow_neg), Err(4));
-        // Extremes that cancel are fine — only the running total matters.
-        let cancel = vec![Update::new(2, i64::MAX), Update::new(2, i64::MIN)];
-        assert_eq!(
-            checked_coalesce_updates(&cancel).unwrap(),
-            vec![Update::new(2, -1)]
-        );
+    fn delta_magnitude_check_reports_the_first_item_past_the_bound() {
+        let overflow_pos = [Update::new(9, i64::MAX), Update::new(9, 1)];
+        assert_eq!(check_delta_magnitudes(&overflow_pos), Err(9));
+        // |i64::MIN| alone already exceeds the bound.
+        let overflow_neg = [Update::new(4, i64::MIN), Update::new(4, -1)];
+        assert_eq!(check_delta_magnitudes(&overflow_neg), Err(4));
+        // Magnitudes add whatever the signs: extremes that would cancel are
+        // rejected, and the reported item is where the running sum crossed.
+        let cancel = [Update::new(2, i64::MAX), Update::new(2, i64::MIN)];
+        assert_eq!(check_delta_magnitudes(&cancel), Err(2));
+        let spread = [
+            Update::new(1, i64::MAX / 2),
+            Update::new(2, -(i64::MAX / 2)),
+            Update::new(3, 2),
+        ];
+        assert_eq!(check_delta_magnitudes(&spread), Err(3));
     }
 
     #[test]

@@ -39,35 +39,6 @@ pub trait UpdateSource {
         fed
     }
 
-    /// Drain the source into a sink in batches of up to `batch` updates
-    /// (uses [`StreamSink::update_batch`], amortizing per-update dispatch).
-    /// Returns the number of updates fed.
-    ///
-    /// # Panics
-    /// Panics if `batch == 0`.
-    fn feed_batched<S: StreamSink + ?Sized>(&mut self, sink: &mut S, batch: usize) -> usize
-    where
-        Self: Sized,
-    {
-        assert!(batch > 0, "batch size must be positive");
-        let mut buf = Vec::with_capacity(batch);
-        let mut fed = 0;
-        loop {
-            buf.clear();
-            while buf.len() < batch {
-                match self.next_update() {
-                    Some(u) => buf.push(u),
-                    None => break,
-                }
-            }
-            if buf.is_empty() {
-                return fed;
-            }
-            fed += buf.len();
-            sink.update_batch(&buf);
-        }
-    }
-
     /// Materialize the remaining updates as a [`TurnstileStream`] (the
     /// batch-world escape hatch; prefer [`feed`](UpdateSource::feed)).
     fn collect_stream(&mut self) -> TurnstileStream
@@ -91,8 +62,7 @@ pub trait UpdateSource {
 }
 
 /// An [`UpdateSource`] adapter that stops after a fixed number of updates —
-/// the mechanism behind [`ShardedIngest::ingest_limited`](crate::ShardedIngest::ingest_limited)
-/// and [`PipelinedIngest::ingest_limited`](crate::PipelinedIngest::ingest_limited).
+/// the mechanism behind [`ShardedIngest::ingest_limited`](crate::ShardedIngest::ingest_limited).
 #[derive(Debug)]
 pub(crate) struct TakeSource<'a, Src> {
     inner: &'a mut Src,
@@ -226,25 +196,19 @@ impl UpdateSource for StreamSource<'_> {
 mod tests {
     use super::*;
 
-    struct CountingSink {
+    struct CollectingSink {
         updates: Vec<Update>,
-        batches: usize,
     }
 
-    impl StreamSink for CountingSink {
+    impl StreamSink for CollectingSink {
         fn update(&mut self, u: Update) {
             self.updates.push(u);
         }
-        fn update_batch(&mut self, updates: &[Update]) {
-            self.batches += 1;
-            self.updates.extend_from_slice(updates);
-        }
     }
 
-    fn sink() -> CountingSink {
-        CountingSink {
+    fn sink() -> CollectingSink {
+        CollectingSink {
             updates: Vec::new(),
-            batches: 0,
         }
     }
 
@@ -257,15 +221,6 @@ mod tests {
         assert_eq!(s.updates[3], Update::insert(3));
         // Exhausted.
         assert_eq!(src.next_update(), None);
-    }
-
-    #[test]
-    fn feed_batched_groups_updates() {
-        let mut src = IterSource::new(8, (0..10u64).map(Update::insert));
-        let mut s = sink();
-        assert_eq!(src.feed_batched(&mut s, 4), 10);
-        assert_eq!(s.updates.len(), 10);
-        assert_eq!(s.batches, 3, "10 updates in batches of 4 = 3 batches");
     }
 
     #[test]
@@ -292,13 +247,5 @@ mod tests {
         let mut src = IterSource::new(4, (0..3u64).map(Update::insert));
         let doubled: Vec<i64> = src.updates().map(|u| u.delta * 2).collect();
         assert_eq!(doubled, vec![2, 2, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn zero_batch_panics() {
-        let mut src = IterSource::new(4, std::iter::empty());
-        let mut s = sink();
-        src.feed_batched(&mut s, 0);
     }
 }

@@ -31,8 +31,8 @@
 //! * **Coalescable batches.** Frames carry `(item, delta)` batches, and
 //!   turnstile deltas add exactly in `i64`, so any stage downstream of the
 //!   decoder may [`coalesce`](crate::coalesce_updates) a frame without
-//!   changing what a linear sketch computes — the property
-//!   [`PipelinedIngest`](crate::PipelinedIngest)'s decode stage exploits.
+//!   changing what a linear sketch computes — the property every sketch's
+//!   `update_batch` fast path exploits.
 //! * **Typed errors, never panics.** Truncation, a bad magic, an unsupported
 //!   version, an unknown frame tag, an oversized length prefix and a
 //!   malformed payload all surface as [`WireError`]s.
@@ -40,8 +40,9 @@
 //! [`FrameWriter`] produces the format.  [`FrameDecoder`] is the one
 //! decoder: a push state machine that validates every byte.
 //! [`FrameReader`] pulls from a [`Read`] into it and implements
-//! [`UpdateSource`], so every existing sink — and the sharded / pipelined
-//! ingest machinery — ingests a wire stream unchanged.
+//! [`UpdateSource`], so every existing sink — and
+//! [`ShardedIngest`](crate::ShardedIngest) — ingests a wire stream
+//! unchanged.
 
 use crate::source::UpdateSource;
 use crate::update::Update;
@@ -326,9 +327,8 @@ pub struct WireProgress {
 /// the format has lives in the decoder alone, and [`finish`](Self::finish)
 /// hands the reader back positioned just past the end frame.  The header
 /// is read and validated on construction.  `FrameReader` implements
-/// [`UpdateSource`], so a wire stream plugs into every existing sink,
-/// [`ShardedIngest`](crate::ShardedIngest) and
-/// [`PipelinedIngest`](crate::PipelinedIngest) unchanged.
+/// [`UpdateSource`], so a wire stream plugs into every existing sink and
+/// [`ShardedIngest`](crate::ShardedIngest) unchanged.
 ///
 /// `UpdateSource::next_update` has no error channel, so a decode failure
 /// mid-stream ends the source (returns `None`) and parks the error; callers

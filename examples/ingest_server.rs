@@ -46,7 +46,7 @@ fn server_config() -> ServeConfig {
         .with_policy(ServePolicy::MergeCompleted)
         .with_checkpoint_every(CHECKPOINT_EVERY)
         .with_pipeline(
-            PipelinedIngest::new(2)
+            ShardedIngest::new(2)
                 .with_batch_size(256)
                 .with_channel_depth(4),
         )

@@ -68,7 +68,7 @@ fn spawn_server_with<S: ServableSketch + 'static>(
         let config = ServeConfig::new()
             .with_policy(policy)
             .with_checkpoint_every(CHECKPOINT_EVERY)
-            .with_pipeline(PipelinedIngest::new(2).with_batch_size(256));
+            .with_pipeline(ShardedIngest::new(2).with_batch_size(256));
         GsumServer::boot(proto, config, Some(checkpoint_path))
             .expect("boot server")
             .serve(listener)

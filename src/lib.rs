@@ -207,7 +207,7 @@
 //! assert!(!frozen_bytes.is_empty()); // persist to restart phase 2 at will
 //! ```
 //!
-//! ### Wire ingestion — framed streams and the backpressured pipeline
+//! ### Wire ingestion — framed streams through the sharded topology
 //!
 //! Updates arriving from the outside world travel as a **framed wire
 //! stream** ([`FrameWriter`](prelude::FrameWriter) /
@@ -217,11 +217,15 @@
 //! completion and malformed bytes are typed
 //! [`WireError`](prelude::WireError)s.  `FrameReader` implements
 //! [`UpdateSource`](prelude::UpdateSource), so a socket feeds any sink
-//! unchanged — and feeds [`PipelinedIngest`](prelude::PipelinedIngest),
-//! which stages decode/coalesce and N hash+apply workers over *bounded*
+//! unchanged — and feeds [`ShardedIngest`](prelude::ShardedIngest), whose
+//! caller thread batches the stream into N worker clones over *bounded*
 //! channels: when workers lag, the producer blocks (on a socket that
 //! propagates to the peer via TCP flow control), and the merged result is
-//! bit-identical to single-threaded ingestion.
+//! bit-identical to single-threaded ingestion.  Every batch is checked
+//! against the magnitude promise first, so a hostile frame whose Σ|δ|
+//! passes `i64::MAX` is a typed
+//! [`IngestError::DeltaOverflow`](prelude::IngestError::DeltaOverflow),
+//! never a panic or a wrapped counter.
 //! `examples/ingest_server.rs` wires the three layers into a TCP serving
 //! loop that checkpoints every K updates and resumes bit-exactly after a
 //! kill.
@@ -238,14 +242,14 @@
 //! let updates: Vec<Update> = (0..4_000).map(|i| Update::new(i % 97, 1)).collect();
 //! let bytes = encode_updates(1 << 8, &updates).expect("encode");
 //!
-//! // Consumer side: decode + pipeline the stream into worker clones, then
+//! // Consumer side: decode + shard the stream into worker clones, then
 //! // require the explicit end-of-stream frame.
 //! let mut reader = FrameReader::new(bytes.as_slice()).expect("wire header");
-//! let sketch = PipelinedIngest::new(2)
+//! let sketch = ShardedIngest::new(2)
 //!     .with_batch_size(512)
 //!     .with_channel_depth(4)
 //!     .ingest(&mut reader, &prototype)
-//!     .expect("no batch overflows i64");
+//!     .expect("no batch's Σ|δ| passes i64::MAX");
 //! assert_eq!(reader.updates_read(), 4_000);
 //! reader.finish().expect("stream ended cleanly");
 //!
@@ -424,10 +428,9 @@ pub mod prelude {
     };
     pub use gsum_streams::{
         coalesce_updates, Checkpoint, CheckpointError, FrameDecoder, FrameReader, FrameWriter,
-        FrequencyVector, IngestConfigError, IterSource, MergeError, MergeableSketch, ParkedState,
-        PipelineError, PipelinedIngest, PlantedStreamGenerator, ShardedIngest,
-        ShardedTwoPassCoordinator, StreamConfig, StreamGenerator, StreamSink, TurnstileStream,
-        TwoPhaseSketch, UniformStreamGenerator, Update, UpdateSource, WireError, WireProgress,
-        ZipfStreamGenerator,
+        FrequencyVector, IngestConfigError, IngestError, IterSource, MergeError, MergeableSketch,
+        ParkedState, PlantedStreamGenerator, ShardedIngest, ShardedTwoPassCoordinator,
+        StreamConfig, StreamGenerator, StreamSink, TurnstileStream, TwoPhaseSketch,
+        UniformStreamGenerator, Update, UpdateSource, WireError, WireProgress, ZipfStreamGenerator,
     };
 }

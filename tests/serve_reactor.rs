@@ -216,7 +216,7 @@ proptest! {
                     .with_checkpoint_every(37)
                     .with_workers(workers)
                     .with_max_connections(MAX_CONNECTIONS)
-                    .with_pipeline(PipelinedIngest::new(2).with_batch_size(31))
+                    .with_pipeline(ShardedIngest::new(2).with_batch_size(31))
                     .with_observer(move |event| {
                         if matches!(event, ServeEvent::ConnectionShed { .. }) {
                             sheds_in_observer.fetch_add(1, Ordering::Relaxed);

@@ -218,7 +218,7 @@ proptest! {
                     .with_policy(policy)
                     .with_checkpoint_every(37)
                     .with_workers(workers)
-                    .with_pipeline(PipelinedIngest::new(2).with_batch_size(31))
+                    .with_pipeline(ShardedIngest::new(2).with_batch_size(31))
                     .with_observer(|_| {});
                 let server =
                     GsumServer::boot(registry(backend), config, None).expect("boot");

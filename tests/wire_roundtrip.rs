@@ -1,4 +1,4 @@
-//! Property tests for the framed wire format and the pipelined ingest path.
+//! Property tests for the framed wire format and the sharded ingest path.
 //!
 //! The wire contract mirrors the checkpoint contract, but for data in
 //! motion: encode a stream of updates as length-prefixed frames, read it
@@ -12,10 +12,13 @@
 //! On top of the codec, the acceptance criteria for the ingest service are
 //! proven here:
 //!
-//! * [`PipelinedIngest`] over a framed wire stream is **bit-identical** to
+//! * [`ShardedIngest`] over a framed wire stream is **bit-identical** to
 //!   single-threaded ingestion of the same updates, for both hash backends
 //!   (compared via checkpoint bytes — the strongest equality the workspace
 //!   has).
+//! * A hostile frame whose delta magnitudes sum past `i64::MAX` is a typed
+//!   `DeltaOverflow` error from [`ShardedIngest`] (one or more shards) and
+//!   the [`ShardedTwoPassCoordinator`], never a panic or a wrapped counter.
 //! * The serving loop's kill/resume cycle — merge and checkpoint every K
 //!   updates, crash at an arbitrary point, restore from the checkpoint and
 //!   replay the non-durable suffix — reproduces the uninterrupted sketch
@@ -136,11 +139,11 @@ proptest! {
         }
     }
 
-    /// A pipelined ingest of a framed wire stream lands in exactly the
+    /// A sharded ingest of a framed wire stream lands in exactly the
     /// state of single-threaded ingestion — checkpoint bytes equal, for
     /// both hash backends, across worker counts and channel depths.
     #[test]
-    fn pipelined_wire_ingest_is_bit_identical(
+    fn sharded_wire_ingest_is_bit_identical(
         updates in updates_strategy(DOMAIN, 400),
         workers in 1usize..5,
         depth in 1usize..5,
@@ -158,7 +161,7 @@ proptest! {
             }
 
             let mut reader = FrameReader::new(bytes.as_slice()).expect("header");
-            let piped = PipelinedIngest::new(workers)
+            let sharded = ShardedIngest::new(workers)
                 .with_batch_size(batch)
                 .with_channel_depth(depth)
                 .ingest(&mut reader, &prototype)
@@ -166,9 +169,9 @@ proptest! {
             prop_assert_eq!(reader.updates_read(), updates.len() as u64);
             reader.finish().expect("clean stream must finish");
             prop_assert_eq!(
-                piped.to_checkpoint_bytes().expect("save piped"),
+                sharded.to_checkpoint_bytes().expect("save sharded"),
                 single.to_checkpoint_bytes().expect("save single"),
-                "backend {:?}: pipelined wire ingest must be bit-identical",
+                "backend {:?}: sharded wire ingest must be bit-identical",
                 backend
             );
         }
@@ -188,7 +191,7 @@ proptest! {
             let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 5)
                 .with_hash_backend(backend);
             let prototype = OnePassGSumSketch::new(PowerFunction::new(2.0), &config);
-            let pipeline = PipelinedIngest::new(2).with_batch_size(32);
+            let ingest = ShardedIngest::new(2).with_batch_size(32);
 
             let mut uninterrupted = prototype.clone();
             for &u in &updates {
@@ -205,7 +208,7 @@ proptest! {
             let mut durable = 0usize;
             let mut checkpoint = (serving.to_checkpoint_bytes().expect("save"), durable);
             loop {
-                let (slice, consumed) = pipeline
+                let (slice, consumed) = ingest
                     .ingest_limited(&mut reader, &prototype, checkpoint_every)
                     .expect("slice ingest");
                 if consumed == 0 {
@@ -227,7 +230,7 @@ proptest! {
             let replay = encode_updates(DOMAIN, &updates[saved_count..]).expect("encode suffix");
             let mut reader = FrameReader::new(replay.as_slice()).expect("header");
             loop {
-                let (slice, consumed) = pipeline
+                let (slice, consumed) = ingest
                     .ingest_limited(&mut reader, &prototype, checkpoint_every)
                     .expect("slice ingest");
                 if consumed == 0 {
@@ -306,31 +309,37 @@ fn wrong_magic_version_and_oversized_prefix_are_typed_errors() {
 }
 
 #[test]
-fn sharded_and_pipelined_share_config_validation() {
-    // The satellite fix: zero shards / zero batch / zero depth are rejected
-    // with the *same* typed error by both ingestion topologies.
-    assert_eq!(
-        ShardedIngest::try_new(0).unwrap_err(),
-        PipelinedIngest::try_new(0).unwrap_err()
-    );
-    assert_eq!(
-        ShardedIngest::try_new(2)
-            .unwrap()
-            .try_with_batch_size(0)
-            .unwrap_err(),
-        PipelinedIngest::try_new(2)
-            .unwrap()
-            .try_with_batch_size(0)
-            .unwrap_err()
-    );
-    assert_eq!(
-        ShardedIngest::try_new(2)
-            .unwrap()
-            .try_with_channel_depth(0)
-            .unwrap_err(),
-        PipelinedIngest::try_new(2)
-            .unwrap()
-            .try_with_channel_depth(0)
-            .unwrap_err()
-    );
+fn hostile_deltas_are_a_typed_error_through_sharded_ingest_and_the_coordinator() {
+    // A legal wire frame can carry any i64 deltas.  This one's Σ|δ| passes
+    // i64::MAX at item 7: without the producer's magnitude check a worker
+    // coalescing it panics (debug) or wraps the item's counter (release).
+    let hostile = [Update::new(7, i64::MAX), Update::new(7, 1)];
+    let bytes = encode_updates(DOMAIN, &hostile).unwrap();
+
+    for backend in BACKENDS {
+        let prototype = CountSketch::new(CountSketchConfig::new(3, 32).with_backend(backend), 9);
+        for shards in [1usize, 2] {
+            let mut reader = FrameReader::new(bytes.as_slice()).unwrap();
+            match ShardedIngest::new(shards).ingest(&mut reader, &prototype) {
+                Err(IngestError::DeltaOverflow { item }) => assert_eq!(item, 7),
+                Err(e) => panic!("{backend:?}, {shards} shards: wrong error {e}"),
+                Ok(sketch) => panic!(
+                    "{backend:?}, {shards} shards: accepted, estimate(7) = {}",
+                    sketch.estimate(7)
+                ),
+            }
+        }
+    }
+
+    // The two-pass coordinator's pass-1 fan-out surfaces the same item
+    // through its checkpoint-error channel.
+    let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 11);
+    let prototype = TwoPassGSumSketch::new(PowerFunction::new(2.0), &config);
+    let mut pass1 = FrameReader::new(bytes.as_slice()).unwrap();
+    let mut pass2 = FrameReader::new(bytes.as_slice()).unwrap();
+    match ShardedTwoPassCoordinator::new(2).run(&prototype, &mut pass1, &mut pass2) {
+        Err(CheckpointError::DeltaOverflow { item }) => assert_eq!(item, 7),
+        Err(e) => panic!("coordinator: wrong error {e}"),
+        Ok(_) => panic!("coordinator accepted a hostile stream"),
+    }
 }
