@@ -57,7 +57,7 @@ pub struct GSumConfig {
     /// sketch stores for candidate identification.  Identification scans the
     /// observed support instead of the whole domain while a sketch stays
     /// under the cap; past it the hints are discarded and queries fall back
-    /// to the domain scan.  Larger caps trade space for identification
+    /// to scanning the level's substream of the domain.  Larger caps trade space for identification
     /// speed on wide domains; [`DEFAULT_HINT_CAP`] words per sketch keeps the
     /// state sublinear.
     pub hint_cap: usize,

@@ -89,6 +89,12 @@ impl<G: GFunction + Clone> OnePassGSumSketch<G> {
         self.inner.level_sketches()[0].function()
     }
 
+    /// The recursive reduction underneath: the level sketches and the
+    /// routing predicate that feeds them.
+    pub fn recursive(&self) -> &RecursiveSketch<OnePassHeavyHitter<G>> {
+        &self.inner
+    }
+
     /// [`Checkpoint::save`] with the function-parameter bytes replaced by
     /// `params` in every level.
     ///

@@ -80,6 +80,12 @@ impl<G: GFunction + Clone> TwoPassGSumSketch<G> {
         self.inner.domain()
     }
 
+    /// The recursive reduction underneath: the level sketches and the
+    /// routing predicate that feeds them.
+    pub fn recursive(&self) -> &RecursiveSketch<TwoPassHeavyHitter<G>> {
+        &self.inner
+    }
+
     /// Sketch state in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.inner.space_words()

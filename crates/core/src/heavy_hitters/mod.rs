@@ -12,6 +12,9 @@ pub mod two_pass;
 pub use one_pass::{OnePassHeavyHitter, OnePassHeavyHitterConfig};
 pub use two_pass::{TwoPassHeavyHitter, TwoPassHeavyHitterConfig};
 
+use crate::hints::ReverseHints;
+use crate::recursive_sketch::Substream;
+use gsum_sketch::CountSketch;
 use gsum_streams::{FrequencyVector, StreamSink};
 
 /// A `(g, λ, ε)`-cover: `(item, approximate g-value)` pairs
@@ -95,6 +98,35 @@ pub trait HeavyHitterSketch: StreamSink {
 
     /// Number of 64-bit words of state (the space the zero-one laws count).
     fn space_words(&self) -> usize;
+
+    /// Tell the sketch which substream it is fed.
+    /// [`RecursiveSketch`](crate::RecursiveSketch) calls this on every level
+    /// when it builds or restores it.  A sketch that scans the domain for
+    /// item identities restricts the scan to its substream; the default
+    /// ignores the binding.
+    fn bind_substream(&mut self, _substream: Substream) {}
+}
+
+/// The candidate scan both heavy-hitter algorithms run over their
+/// CountSketch: the top `k` of the observed support (the reverse hints)
+/// while the hint budget holds.  Past it, the top `k` of the items of
+/// `0..domain` in `substream` — a recursive-sketch level's CountSketch only
+/// ever saw its substream, so any other item's estimate is collision noise —
+/// or of the whole domain for a sketch bound to no substream.
+pub(crate) fn scan_candidates(
+    countsketch: &CountSketch,
+    hints: &ReverseHints,
+    substream: Option<&Substream>,
+    domain: u64,
+    k: usize,
+) -> Vec<(u64, f64)> {
+    if !hints.is_saturated() {
+        countsketch.top_candidates(hints.iter().filter(|&item| item < domain), k)
+    } else if let Some(substream) = substream {
+        countsketch.top_candidates(substream.items_below(domain), k)
+    } else {
+        countsketch.top_candidates(0..domain, k)
+    }
 }
 
 /// The exact `(g, λ)`-heavy hitters of a frequency vector, used as ground

@@ -18,10 +18,11 @@
 //! may discard genuine heavy hitters (or keep items whose reported weight is
 //! off), which is exactly the failure mode experiment E3 measures.
 
-use super::{GCover, HeavyHitterSketch};
+use super::{scan_candidates, GCover, HeavyHitterSketch};
 use crate::config::invalid;
 use crate::error::CoreError;
 use crate::hints::ReverseHints;
+use crate::recursive_sketch::Substream;
 use gsum_gfunc::{FunctionCodec, GFunction};
 use gsum_hash::{HashBackend, SignFamily};
 use gsum_sketch::{AmsF2Sketch, CountSketch, CountSketchConfig, FrequencySketch};
@@ -54,7 +55,8 @@ pub struct OnePassHeavyHitterConfig {
     /// Cap on the reverse hints (distinct observed items) kept for candidate
     /// identification: under the cap, [`cover`](HeavyHitterSketch::cover)
     /// scans the observed support instead of the whole domain; past it the
-    /// sketch saturates and falls back to the domain scan.  Defaults to
+    /// sketch saturates and falls back to scanning its substream of the
+    /// domain.  Defaults to
     /// [`crate::config::DEFAULT_HINT_CAP`] when derived from a
     /// [`crate::GSumConfig`].
     pub hint_cap: usize,
@@ -199,6 +201,10 @@ pub struct OnePassHeavyHitter<G> {
     /// `config.hint_cap`: candidate identification scans these instead of
     /// the whole domain until the sketch saturates.
     hints: ReverseHints,
+    /// The substream this sketch is fed, when it is a recursive-sketch
+    /// level: a saturated scan walks only its items.  Derived state, bound
+    /// by the owner and never checkpointed.
+    substream: Option<Substream>,
     /// Reused coalesce scratch for `update_batch`.
     scratch: IngestScratch<Vec<Update>>,
     /// The memoized query plan of the current state.
@@ -244,6 +250,7 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
             countsketch,
             ams,
             hints,
+            substream: None,
             scratch: IngestScratch::default(),
             plan: PlanMemo::default(),
         }
@@ -282,20 +289,21 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
         2.0 * (residual / self.config.columns as f64).sqrt()
     }
 
-    /// Whether `g` is stable (within relative `ε`) around the estimated
-    /// frequency `v̂` under perturbations of size up to `error`.
-    fn is_stable<F: GFunction + ?Sized>(&self, g: &F, v_hat: i64, error: f64) -> bool {
+    /// The weight `g(v̂)` if `g` is stable (within relative `ε`) around the
+    /// estimated frequency `v̂` under perturbations of size up to `error`,
+    /// else `None`.
+    fn stable_weight<F: GFunction + ?Sized>(&self, g: &F, v_hat: i64, error: f64) -> Option<f64> {
         let base = g.eval_signed(v_hat);
         if base <= 0.0 {
             // g(0) = 0 items contribute nothing; keep them out of the cover.
-            return false;
+            return None;
         }
         let eps = self.config.epsilon;
         // An error below half a unit means the rounded estimate is the exact
         // integer frequency, so the reported weight is exact and no pruning
         // is needed.
         if error < 0.5 {
-            return true;
+            return Some(base);
         }
         let err = error.ceil() as i64;
         // Probe a handful of perturbations across the error interval,
@@ -304,10 +312,10 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
         for &y in &probes {
             let shifted = g.eval_signed(v_hat + y);
             if (base - shifted).abs() > eps * shifted.max(base) {
-                return false;
+                return None;
             }
         }
-        true
+        Some(base)
     }
 
     /// The g-independent half of Algorithm 2 over `domain`: the top
@@ -316,17 +324,19 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
     /// domain whenever the hint budget held; only the items that actually
     /// carry mass can be heavy, and `top_candidates` imposes a total order,
     /// so the selection is deterministic regardless of hint iteration
-    /// order.  A saturated sketch falls back to the exhaustive domain scan.
+    /// order.  A saturated sketch scans the items of `0..domain` in its
+    /// bound [`Substream`] — exactly those the routing predicate
+    /// ([`RecursiveSketch::selected_at`](crate::RecursiveSketch::selected_at))
+    /// sends to this level, about `domain / 2^j` keys at level `j` — or the
+    /// whole domain when it is not a recursive-sketch level.
     fn compute_plan(&self, domain: u64) -> QueryPlan {
-        let candidates = if self.hints.is_saturated() {
-            self.countsketch
-                .top_candidates(0..domain, self.config.candidates)
-        } else {
-            self.countsketch.top_candidates(
-                self.hints.iter().filter(|&item| item < domain),
-                self.config.candidates,
-            )
-        };
+        let candidates = scan_candidates(
+            &self.countsketch,
+            &self.hints,
+            self.substream.as_ref(),
+            domain,
+            self.config.candidates,
+        );
         let error = self.residual_error_bound(&candidates);
         QueryPlan {
             domain,
@@ -344,11 +354,16 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
     /// the primitive the serving layer's multi-function registry builds on:
     /// one shared substrate, K query-time functions.
     ///
+    /// Every reported item is a candidate of the plan, so on a
+    /// recursive-sketch level every item of the cover is in the level's
+    /// substream, whether the candidates came from the hints (which only
+    /// ever record routed items) or from the saturated substream scan.
+    ///
     /// **Memoized.** The g-independent query plan — the CountSketch's top
     /// candidates with their estimates and the residual error bound — is
     /// computed by the first call on a state and reused by every later call
     /// with the same `domain`, whatever the function; each call then only
-    /// runs the stability pruning and `g(v̂)` over at most
+    /// runs the stability pruning, which yields `g(v̂)`, over at most
     /// `config.candidates` items.  `update`, `update_batch` and `merge`
     /// invalidate the plan, a clone or a restored sketch starts without one,
     /// and a call with another `domain` computes its plan without caching
@@ -369,8 +384,8 @@ impl<G: GFunction> OnePassHeavyHitter<G> {
             if v_hat == 0 {
                 continue;
             }
-            if self.is_stable(g, v_hat, plan.error) {
-                pairs.push((item, g.eval_signed(v_hat)));
+            if let Some(weight) = self.stable_weight(g, v_hat, plan.error) {
+                pairs.push((item, weight));
             }
         }
         GCover::from_pairs(pairs)
@@ -457,6 +472,11 @@ impl<G: GFunction> HeavyHitterSketch for OnePassHeavyHitter<G> {
 
     fn space_words(&self) -> usize {
         self.countsketch.space_words() + self.ams.space_words() + self.hints.len()
+    }
+
+    fn bind_substream(&mut self, substream: Substream) {
+        self.plan.clear();
+        self.substream = Some(substream);
     }
 }
 

@@ -12,10 +12,11 @@
 //! variability of `g` is irrelevant — this is precisely why predictability
 //! drops out of the two-pass zero-one law (Theorem 3).
 
-use super::{GCover, HeavyHitterSketch};
+use super::{scan_candidates, GCover, HeavyHitterSketch};
 use crate::config::invalid;
 use crate::error::CoreError;
 use crate::hints::ReverseHints;
+use crate::recursive_sketch::Substream;
 use gsum_gfunc::{FunctionCodec, GFunction};
 use gsum_hash::HashBackend;
 use gsum_sketch::{CountSketch, CountSketchConfig, FrequencySketch};
@@ -38,8 +39,8 @@ pub struct TwoPassHeavyHitterConfig {
     /// Cap on the reverse hints (distinct observed items) kept during the
     /// first pass: under the cap, [`begin_second_pass`](TwoPassHeavyHitter::begin_second_pass)
     /// picks its candidates by scanning the observed support instead of the
-    /// whole domain; past it the sketch saturates and falls back to the
-    /// domain scan.  Defaults to [`crate::config::DEFAULT_HINT_CAP`] when
+    /// whole domain; past it the sketch saturates and falls back to scanning
+    /// its substream of the domain.  Defaults to [`crate::config::DEFAULT_HINT_CAP`] when
     /// derived from a [`crate::GSumConfig`].
     pub hint_cap: usize,
 }
@@ -128,6 +129,10 @@ pub struct TwoPassHeavyHitter<G> {
     /// `config.hint_cap`: the phase transition scans these instead of the
     /// whole domain when picking candidates.
     hints: ReverseHints,
+    /// The substream this sketch is fed, when it is a recursive-sketch
+    /// level: a saturated scan walks only its items.  Derived state, bound
+    /// by the owner and never checkpointed.
+    substream: Option<Substream>,
     /// Reused coalesce scratch for first-pass `update_batch`.
     scratch: IngestScratch<Vec<Update>>,
 }
@@ -166,6 +171,7 @@ impl<G: GFunction> TwoPassHeavyHitter<G> {
             phase,
             exact,
             hints,
+            substream: None,
             scratch: IngestScratch::default(),
         }
     }
@@ -186,20 +192,20 @@ impl<G: GFunction> TwoPassHeavyHitter<G> {
     /// second pass will tabulate exactly (identities only; the CountSketch
     /// estimates are discarded, as in the paper).  Candidate identification
     /// scans the observed support (the reverse hints) when the hint budget
-    /// held, falling back to the domain scan after saturation.
+    /// held; after saturation it scans the items of `0..domain` in the
+    /// bound [`Substream`] (the whole domain when unbound), so no slot goes
+    /// to an item this level never saw.
     pub fn begin_second_pass(&mut self, domain: u64) {
         if self.phase == Phase::Second {
             return;
         }
-        let candidates = if self.hints.is_saturated() {
-            self.countsketch
-                .top_candidates(0..domain, self.config.candidates)
-        } else {
-            self.countsketch.top_candidates(
-                self.hints.iter().filter(|&item| item < domain),
-                self.config.candidates,
-            )
-        };
+        let candidates = scan_candidates(
+            &self.countsketch,
+            &self.hints,
+            self.substream.as_ref(),
+            domain,
+            self.config.candidates,
+        );
         self.exact = candidates.into_iter().map(|(i, _)| (i, 0i64)).collect();
         // Nothing reads the hints after the candidate set is frozen: free
         // them so the second pass (and every frozen-state checkpoint the
@@ -317,6 +323,10 @@ impl<G: GFunction> HeavyHitterSketch for TwoPassHeavyHitter<G> {
 
     fn space_words(&self) -> usize {
         self.countsketch.space_words() + 2 * self.config.candidates + self.hints.len()
+    }
+
+    fn bind_substream(&mut self, substream: Substream) {
+        self.substream = Some(substream);
     }
 }
 

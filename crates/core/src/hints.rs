@@ -7,8 +7,9 @@
 //! sketch remembers the distinct items it has seen, capped at a configurable
 //! budget.  While under the cap, identification scans the observed support;
 //! a sketch that crosses the cap *saturates* — its hints are discarded (the
-//! memory is freed) and queries fall back to the domain scan, so the space
-//! stays bounded by the cap regardless of the stream's support size.
+//! memory is freed) and queries fall back to the domain scan (for a
+//! recursive-sketch level, the scan of its substream), so the space stays
+//! bounded by the cap regardless of the stream's support size.
 //!
 //! Saturation depends only on the **set** of distinct items observed, never
 //! on arrival order, so batched, sharded and per-update ingestion agree

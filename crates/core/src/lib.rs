@@ -77,7 +77,7 @@ pub use heavy_hitters::{
 pub use hints::ReverseHints;
 pub use moments::MomentEstimator;
 pub use np_algorithm::{GnpHeavyHitter, NearlyPeriodicGSum};
-pub use recursive_sketch::RecursiveSketch;
+pub use recursive_sketch::{RecursiveSketch, Substream};
 
 // The push-based ingestion contract and the snapshot/restore layer,
 // re-exported so estimator users need only this crate.

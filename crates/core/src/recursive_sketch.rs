@@ -18,6 +18,16 @@
 //! accounted for exactly by their covers.  The paper uses this reduction with
 //! heaviness `λ = ε²/log³ n`, giving an `O(log n)` space overhead over the
 //! heavy-hitter routine (Theorem 13).
+//!
+//! The formula is only sound if `cover_j` holds items of level `j`'s
+//! substream: an item the level never saw has a pure-noise estimate, is not
+//! selected at level `j+1` either, and so adds its weight once per level
+//! while the recursion doubles it.  Each level therefore knows its
+//! substream: the sketch hands level `j` a [`Substream`] (the level index
+//! plus the selector, both derived from the master seed and never
+//! checkpointed) whenever it builds or restores the level
+//! ([`HeavyHitterSketch::bind_substream`]), and a level that has to scan
+//! the domain for candidates scans only the items routed to it.
 
 use crate::heavy_hitters::{GCover, HeavyHitterSketch};
 use gsum_hash::KWiseHash;
@@ -42,6 +52,59 @@ pub struct RouteScratch {
     /// (`trailing_zeros` of a 64-bit hash, clamped to the level count — fits
     /// `u8` with room to spare).
     depths: Vec<u8>,
+}
+
+/// Keys whose selector hashes [`Substream::items_below`] evaluates per
+/// batched call.
+const SUBSTREAM_BLOCK: u64 = 1024;
+
+/// The routing predicate's mask: level `level` keeps the items whose
+/// selector hash `h` has `h & mask == 0`, i.e. is divisible by `2^level`.
+/// Levels from 64 on select nothing (`None`).
+fn level_mask(level: usize) -> Option<u64> {
+    (level < 64).then(|| (1u64 << level) - 1)
+}
+
+/// Level `j`'s substream of a [`RecursiveSketch`]: the items the reduction
+/// routes to that level (selector hash divisible by `2^j`, exactly
+/// [`RecursiveSketch::selected_at`]).
+///
+/// Derived from the master seed, so it is never checkpointed;
+/// [`RecursiveSketch`] binds it to each level when it builds or restores
+/// the level.
+#[derive(Debug, Clone)]
+pub struct Substream {
+    level: usize,
+    selector: KWiseHash,
+}
+
+impl Substream {
+    /// The items of `0..domain` in this substream, in increasing order: the
+    /// candidate source of a level whose reverse hints saturated.  The
+    /// selector is evaluated over blocks of keys with the batched kernel
+    /// ([`KWiseHash::hash_many`], bit-identical to per-key hashing); level 0
+    /// yields every item without hashing.
+    pub fn items_below(&self, domain: u64) -> impl Iterator<Item = u64> + '_ {
+        let mask = level_mask(self.level);
+        let end = if mask.is_some() { domain } else { 0 };
+        let mask = mask.unwrap_or(0);
+        (0..end)
+            .step_by(SUBSTREAM_BLOCK as usize)
+            .flat_map(move |start| {
+                let keys: Vec<u64> =
+                    (start..end.min(start.saturating_add(SUBSTREAM_BLOCK))).collect();
+                let mut hashes = Vec::new();
+                if mask == 0 {
+                    hashes.resize(keys.len(), 0);
+                } else {
+                    self.selector.hash_many(&keys, &mut hashes);
+                }
+                keys.into_iter()
+                    .zip(hashes)
+                    .filter(move |&(_, h)| h & mask == 0)
+                    .map(|(key, _)| key)
+            })
+    }
 }
 
 /// The recursive g-SUM estimator, generic over the per-level heavy-hitter
@@ -100,10 +163,17 @@ impl<S: HeavyHitterSketch> RecursiveSketch<S> {
     }
 
     /// The shared final constructor behind [`new`](Self::new) (which already
-    /// holds the derived seed array) and [`assemble`](Self::assemble).
-    fn from_parts(domain: u64, seed: u64, selector: KWiseHash, levels: Vec<S>) -> Self {
+    /// holds the derived seed array) and [`assemble`](Self::assemble).  It
+    /// binds each level to its [`Substream`].
+    fn from_parts(domain: u64, seed: u64, selector: KWiseHash, mut levels: Vec<S>) -> Self {
         assert!(!levels.is_empty(), "need at least one level");
         assert!(domain > 0, "domain must be positive");
+        for (level, sketch) in levels.iter_mut().enumerate() {
+            sketch.bind_substream(Substream {
+                level,
+                selector: selector.clone(),
+            });
+        }
         Self {
             domain,
             levels,
@@ -128,14 +198,11 @@ impl<S: HeavyHitterSketch> RecursiveSketch<S> {
     /// divisible by `2^j` (so the level-`j` inclusion probability is
     /// `2^{-j}`, and the subsets are nested).
     pub fn selected_at(&self, item: u64, level: usize) -> bool {
-        if level == 0 {
-            return true;
+        match level_mask(level) {
+            Some(0) => true,
+            Some(mask) => self.selector.hash(item) & mask == 0,
+            None => false,
         }
-        if level >= 64 {
-            return false;
-        }
-        let h = self.selector.hash(item);
-        h & ((1u64 << level) - 1) == 0
     }
 
     /// The deepest level that still includes `item`.
@@ -481,6 +548,21 @@ mod tests {
         }
         // Level 0 includes everything.
         assert!((0..100u64).all(|i| rs.selected_at(i, 0)));
+    }
+
+    #[test]
+    fn substream_items_are_exactly_the_routed_items() {
+        let rs = RecursiveSketch::new(1 << 16, 12, 5, |_, _| ExactOracle::new());
+        // A domain that ends mid-block.
+        let domain = 3 * SUBSTREAM_BLOCK + 17;
+        for level in [0, 1, 2, 5, 11, 63, 64, 70] {
+            let substream = Substream {
+                level,
+                selector: rs.selector.clone(),
+            };
+            let want: Vec<u64> = (0..domain).filter(|&i| rs.selected_at(i, level)).collect();
+            assert_eq!(substream.items_below(domain).collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -234,13 +234,26 @@ impl CountSketch {
     /// bit-identical to [`FrequencySketch::estimate`] of that item.
     ///
     /// One batched scan: keys are pulled from the iterator in blocks of
-    /// 1024; per row, the ingest path's batched hash kernel
-    /// ([`RowHasher::column_sign_batch`]) fills the block's columns and
-    /// signs and the signed counters are gathered; each key's median over
-    /// rows is taken exactly as [`FrequencySketch::estimate`] takes it.  The
-    /// block buffers are reused across blocks and freed on return, so a
-    /// sketch keeps no scan memory between queries.  Survivors live in a bounded buffer of at most `2k` entries
-    /// that is cut back to the best `k` whenever it fills, so memory is
+    /// 1024 and the block is walked row by row.  Per row, the ingest path's
+    /// batched hash kernel ([`RowHasher::column_sign_batch`]) fills the
+    /// surviving keys' columns and signs and their signed counters are
+    /// gathered; each survivor's median over rows is then taken exactly as
+    /// [`FrequencySketch::estimate`] takes it.  Survivors live in a bounded
+    /// buffer of at most `2k` entries that is cut back to the best `k`
+    /// whenever it fills; the worst kept magnitude is then the *floor* a
+    /// later key must reach.
+    ///
+    /// **Cost.**  Once the floor is positive, a key is dropped as soon as
+    /// its remaining rows can no longer lift its median to it, and the
+    /// block's survivors are compacted before the next row is hashed.  A
+    /// median of magnitude at least `f > 0` needs `⌈rows/2⌉` row values on
+    /// one side of `±f` (for an even row count too, because
+    /// `0.5·(a + b)` is monotone in both arguments), so the drop only
+    /// removes keys the exact test would reject: the buffer sees the same
+    /// pushes, and the output is unchanged.  The floor used for dropping is
+    /// the one at the block's start, never above the current one.  On a
+    /// skewed stream most keys go after `⌈rows/2⌉` of their rows.  The
+    /// block buffers are freed on return, so memory is
     /// `O(k + rows · SCAN_BLOCK)` whatever the candidate count.
     pub fn top_candidates(
         &self,
@@ -256,35 +269,62 @@ impl CountSketch {
         // the worst survivor can never enter the top `k`.
         let mut floor = 0.0f64;
         let rows = self.config.rows;
+        // Rows that must lie on one side of ±floor for a median to reach it.
+        let need = rows.div_ceil(2);
         let mut keys = Vec::with_capacity(SCAN_BLOCK);
         let mut cols = Vec::with_capacity(SCAN_BLOCK);
         let mut signs = Vec::with_capacity(SCAN_BLOCK);
-        let mut counters = Vec::with_capacity(rows * SCAN_BLOCK);
-        let mut column = Vec::with_capacity(rows);
+        // Key-major signed counters: key `j`'s row `r` at `j * rows + r`.
+        let mut values = Vec::with_capacity(rows * SCAN_BLOCK);
+        // Per key, its rows at or above `floor` and at or below `-floor`.
+        let mut above: Vec<usize> = Vec::with_capacity(SCAN_BLOCK);
+        let mut below: Vec<usize> = Vec::with_capacity(SCAN_BLOCK);
         loop {
             keys.clear();
             keys.extend(candidates.by_ref().take(SCAN_BLOCK));
-            let n = keys.len();
-            if n == 0 {
+            if keys.is_empty() {
                 break;
             }
-            counters.clear();
-            for (row_counters, hasher) in self
+            let block_floor = floor;
+            values.clear();
+            values.resize(keys.len() * rows, 0.0);
+            above.clear();
+            above.resize(keys.len(), 0);
+            below.clear();
+            below.resize(keys.len(), 0);
+            for (r, (row_counters, hasher)) in self
                 .counters
                 .chunks_exact(self.config.columns)
                 .zip(self.rows.iter())
+                .enumerate()
             {
                 hasher.column_sign_batch(&keys, &mut cols, &mut signs);
-                counters.extend(
-                    cols.iter()
-                        .zip(signs.iter())
-                        .map(|(&col, &sign)| sign as f64 * row_counters[col as usize]),
-                );
+                for (j, (&col, &sign)) in cols.iter().zip(signs.iter()).enumerate() {
+                    let value = sign as f64 * row_counters[col as usize];
+                    values[j * rows + r] = value;
+                    above[j] += usize::from(value >= block_floor);
+                    below[j] += usize::from(value <= -block_floor);
+                }
+                let left = rows - r - 1;
+                if block_floor > 0.0 && left < need {
+                    let mut kept = 0;
+                    for j in 0..keys.len() {
+                        if above[j].max(below[j]) + left >= need {
+                            keys[kept] = keys[j];
+                            above[kept] = above[j];
+                            below[kept] = below[j];
+                            values.copy_within(j * rows..j * rows + r + 1, kept * rows);
+                            kept += 1;
+                        }
+                    }
+                    keys.truncate(kept);
+                    if kept == 0 {
+                        break;
+                    }
+                }
             }
             for (j, &item) in keys.iter().enumerate() {
-                column.clear();
-                column.extend((0..rows).map(|r| counters[r * n + j]));
-                let estimate = median_in_place(&mut column);
+                let estimate = median_in_place(&mut values[j * rows..(j + 1) * rows]);
                 if estimate.abs() < floor {
                     continue;
                 }

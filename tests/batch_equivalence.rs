@@ -835,6 +835,129 @@ proptest! {
     }
 }
 
+/// Domain of the skewed scan case: four of the kernel's key blocks.
+const SKEW_DOMAIN: u64 = 4_096;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A skewed stream puts a few heavy items above a sea of light ones, so
+    /// once the first blocks raise the top-k floor above zero most keys
+    /// drop out before their last row.  The pruned scan must still equal
+    /// the per-item oracle bit for bit, walked forwards and backwards over
+    /// the full domain, for every row count and both backends.
+    #[test]
+    fn scan_kernel_skewed_stream_prunes_like_the_oracle(
+        seed in 0u64..200,
+        columns in 32usize..256,
+    ) {
+        let s = ZipfStreamGenerator::new(StreamConfig::new(SKEW_DOMAIN, 20_000), 1.2, seed)
+            .generate();
+        let forwards: Vec<u64> = (0..SKEW_DOMAIN).collect();
+        let backwards: Vec<u64> = (0..SKEW_DOMAIN).rev().collect();
+        for backend in BACKENDS {
+            for rows in SCAN_ROWS {
+                let mut cs = CountSketch::new(
+                    CountSketchConfig::new(rows, columns).with_backend(backend),
+                    seed,
+                );
+                cs.update_batch(s.updates());
+                for candidates in [&forwards, &backwards] {
+                    for k in [1, 8, 128] {
+                        let got = cs.top_candidates(candidates.iter().copied(), k);
+                        let want = top_candidates_oracle(&cs, candidates.iter().copied(), k);
+                        prop_assert_eq!(
+                            as_bits(&got),
+                            as_bits(&want),
+                            "rows {} / {:?} / k = {}: pruned scan diverges from the oracle",
+                            rows,
+                            backend,
+                            k
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The sign row `row` of a `CountSketch::new(config, seed)` gives `item`.
+fn row_sign(config: CountSketchConfig, seed: u64, row: usize, item: u64) -> i64 {
+    let seeds = zerolaw::hash::derive_seeds(seed, config.rows);
+    RowHasher::new(config.backend, config.columns as u64, seeds[row])
+        .column_sign(item)
+        .1
+}
+
+/// Values sitting exactly on `±floor`: with one column and one updated
+/// item, every key's row values are `±d`, every odd-row median is `±d`,
+/// and the floor is `d` after the first cut.  A key whose rows are all
+/// *at* the floor must survive the early rejection.  The candidates are
+/// walked backwards so the winners (smallest items among equal
+/// magnitudes) arrive in the last block, long after the floor rose.
+#[test]
+fn scan_kernel_values_at_the_floor_match_oracle() {
+    let backwards: Vec<u64> = (0..SCAN_DOMAIN).rev().collect();
+    for backend in BACKENDS {
+        for rows in SCAN_ROWS {
+            let mut cs = CountSketch::new(CountSketchConfig::new(rows, 1).with_backend(backend), 5);
+            cs.update(Update::new(17, 6));
+            for k in [1, 3, 8] {
+                let got = cs.top_candidates(backwards.iter().copied(), k);
+                let want = top_candidates_oracle(&cs, backwards.iter().copied(), k);
+                assert_eq!(
+                    as_bits(&got),
+                    as_bits(&want),
+                    "rows {rows} / {backend:?} / k = {k}"
+                );
+                if rows % 2 == 1 {
+                    assert!(got.iter().all(|&(_, e)| e.abs() == 6.0));
+                }
+            }
+        }
+    }
+}
+
+/// An even row count whose two middle values straddle the floor: with one
+/// column and two rows, two updated items whose sign patterns disagree
+/// leave counters of magnitudes 9 and 5, so the keys signed like the
+/// counters read `(5, 9)` (or `(-5, -9)`): median 7, the floor, with one
+/// middle value below it.  Such a key reaches the floor and must not be
+/// rejected for having only one row past it.
+#[test]
+fn scan_kernel_even_rows_straddling_the_floor_match_oracle() {
+    let backwards: Vec<u64> = (0..SCAN_DOMAIN).rev().collect();
+    for backend in BACKENDS {
+        let config = CountSketchConfig::new(2, 1).with_backend(backend);
+        let seed = 9;
+        let sign = |row, item| row_sign(config, seed, row, item);
+        let other = (1..SCAN_DOMAIN)
+            .find(|&b| sign(0, 0) * sign(0, b) != sign(1, 0) * sign(1, b))
+            .expect("an item whose sign pattern disagrees with item 0's");
+        let mut cs = CountSketch::new(config, seed);
+        cs.update(Update::new(0, 7));
+        cs.update(Update::new(other, 2));
+        let counters: Vec<i64> = (0..2)
+            .map(|row| sign(row, 0) * 7 + sign(row, other) * 2)
+            .collect();
+        let mut magnitudes: Vec<i64> = counters.iter().map(|c| c.abs()).collect();
+        magnitudes.sort_unstable();
+        assert_eq!(magnitudes, [5, 9]);
+        for k in [1, 3, 8] {
+            let got = cs.top_candidates(backwards.iter().copied(), k);
+            let want = top_candidates_oracle(&cs, backwards.iter().copied(), k);
+            assert_eq!(as_bits(&got), as_bits(&want), "{backend:?} / k = {k}");
+            // The winners sit at the floor with one row on each side of it.
+            for &(item, estimate) in &got {
+                assert_eq!(estimate.abs(), 7.0);
+                let mut values: Vec<i64> = (0..2).map(|r| sign(r, item) * counters[r]).collect();
+                values.sort_unstable_by_key(|v| v.abs());
+                assert_eq!(values.iter().map(|v| v.abs()).collect::<Vec<_>>(), [5, 9]);
+            }
+        }
+    }
+}
+
 /// Ties everywhere: an empty sketch estimates every item as a signed zero,
 /// and a sketch whose two items cancel row by row leaves many equal
 /// magnitudes.  The scan must order them exactly like the oracle —

@@ -14,8 +14,16 @@
 //! * checkpoint bytes do not depend on whether the state was queried;
 //! * a clone of a warm state that is then mutated does not answer from the
 //!   stale plan, and the original keeps answering for its own state.
+//!
+//! The `level_cover_*` tests hold every level's candidates to the level's
+//! own substream: level `j`'s CountSketch only ever saw the items the
+//! recursive sketch routes to it, so an item outside that substream has a
+//! pure-noise estimate and must never be covered (one-pass) or frozen as a
+//! candidate (two-pass), whether the level scanned its hints or, once they
+//! saturated, the domain.
 
 use proptest::prelude::*;
+use zerolaw::core::HeavyHitterSketch;
 use zerolaw::prelude::*;
 
 const DOMAIN: u64 = 512;
@@ -228,4 +236,99 @@ fn query_plan_memo_restored_state_answers_like_the_saved_one() {
             assert_eq!(restored.to_checkpoint_bytes().expect("checkpoint"), bytes);
         }
     }
+}
+
+/// Zipf streams over [`DOMAIN`] whose support saturates the small hint cap
+/// at the shallow levels while the deep levels stay under it.
+fn zipf_streams() -> Vec<TurnstileStream> {
+    (1..=3)
+        .map(|seed| {
+            ZipfStreamGenerator::new(StreamConfig::new(DOMAIN, 6_000), 1.1, seed).generate()
+        })
+        .collect()
+}
+
+/// Per level `j`, whether more distinct items of `stream` are routed to
+/// `j` than `hint_cap` holds (the level's hints saturated).
+fn saturated_levels<S: HeavyHitterSketch>(
+    recursive: &RecursiveSketch<S>,
+    stream: &TurnstileStream,
+    hint_cap: usize,
+) -> Vec<bool> {
+    let support: std::collections::HashSet<u64> = stream.iter().map(|u| u.item).collect();
+    (0..recursive.levels())
+        .map(|j| {
+            support
+                .iter()
+                .filter(|&&i| recursive.selected_at(i, j))
+                .count()
+                > hint_cap
+        })
+        .collect()
+}
+
+/// Every item of every level's cover, for every function, is in that
+/// level's substream — under both backends, with hint caps that leave
+/// every level unsaturated and that saturate the shallow levels.
+#[test]
+fn level_cover_items_are_in_the_level_substream() {
+    let mut seen_saturated = [false; 2];
+    for stream in zipf_streams() {
+        for backend in BACKENDS {
+            for hint_cap in HINT_CAPS {
+                let mut sketch = gsum_sketch(backend, hint_cap);
+                sketch.update_batch(stream.updates());
+                let recursive = sketch.recursive();
+                let saturated = saturated_levels(recursive, &stream, hint_cap);
+                for (j, level) in recursive.level_sketches().iter().enumerate() {
+                    seen_saturated[usize::from(saturated[j])] = true;
+                    for g in &functions() {
+                        for (item, _) in level.cover_with(g, DOMAIN).iter() {
+                            assert!(
+                                recursive.selected_at(item, j),
+                                "{backend:?}, cap {hint_cap}, {}: level {j} (saturated: {}) \
+                                 covers item {item}, which is not routed to it",
+                                g.name(),
+                                saturated[j]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(seen_saturated, [true, true], "both hint regimes exercised");
+}
+
+/// The two-pass heavy hitter freezes its candidates from the same
+/// substream scan: on every saturated level `j > 0`, each frozen candidate
+/// is routed to level `j`.
+#[test]
+fn level_cover_two_pass_candidates_are_in_the_level_substream() {
+    let g = PowerFunction::new(2.0);
+    let mut saturated_deep_levels = 0;
+    for stream in zipf_streams() {
+        for backend in BACKENDS {
+            let config = config(backend, HINT_CAPS[0]);
+            let mut sketch = TwoPassGSumSketch::new(g, &config);
+            sketch.update_batch(stream.updates());
+            sketch.begin_second_pass();
+            let recursive = sketch.recursive();
+            let saturated = saturated_levels(recursive, &stream, HINT_CAPS[0]);
+            for (j, level) in recursive.level_sketches().iter().enumerate().skip(1) {
+                if !saturated[j] {
+                    continue;
+                }
+                saturated_deep_levels += 1;
+                for item in level.candidates() {
+                    assert!(
+                        recursive.selected_at(item, j),
+                        "{backend:?}: saturated level {j} froze item {item}, \
+                         which is not routed to it"
+                    );
+                }
+            }
+        }
+    }
+    assert!(saturated_deep_levels > 0, "some level j > 0 saturated");
 }
