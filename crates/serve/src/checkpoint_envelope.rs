@@ -16,9 +16,9 @@
 //! ```
 //!
 //! [`save_atomic`](CheckpointEnvelope::save_atomic) publishes via a temp
-//! file renamed over the target, so a crash mid-write can never leave a
-//! torn checkpoint — the discipline the PR 4 ingest-server example
-//! established, now a library guarantee instead of example code.
+//! file renamed over the target, so a killed process can never leave a
+//! torn checkpoint.  It does not `fsync`, so that guarantee does not
+//! extend to power loss or an operating-system crash.
 
 use crate::error::ServeError;
 use gsum_streams::checkpoint::{read_u16, read_u64, write_u16, write_u64};
@@ -115,9 +115,12 @@ impl CheckpointEnvelope {
         Ok(Self::from_parts(durable_count, state))
     }
 
-    /// Publish the envelope to `path` atomically: write a sibling temp file,
-    /// then rename over the target.  A crash mid-write leaves the previous
-    /// checkpoint intact, never a torn one.
+    /// Publish the envelope to `path`: write a sibling temp file, then
+    /// rename it over the target.  If the process is killed mid-write, the
+    /// previous checkpoint stays intact, never a torn one.  Neither the
+    /// file nor its directory is `fsync`ed, so after power loss or an
+    /// operating-system crash the target may hold the previous envelope,
+    /// the new one, or a torn or empty file.
     pub fn save_atomic(&self, path: &Path) -> Result<(), ServeError> {
         let mut bytes = Vec::with_capacity(self.state_bytes().len() + 16);
         self.write_to(&mut bytes)?;

@@ -1,13 +1,14 @@
 //! The merge coordinator: fold completed client states into the long-lived
 //! serving state, snapshot every K merged updates.
 //!
-//! Every client connection feeds its own clone-with-shared-seeds sketch;
-//! linearity guarantees that folding those per-client states into the
-//! serving sketch — in *any* order, from any number of threads — lands in
-//! exactly the single-threaded state of the concatenated streams, bit for
-//! bit (integer-valued `f64` counters add exactly).  The coordinator is the
-//! one place that fold happens: it owns the serving sketch behind a lock,
-//! applies the durable-count accounting, counts the streams the configured
+//! Every worker shard and per-connection accumulator is a
+//! clone-with-shared-seeds sketch; linearity guarantees that folding those
+//! states into the serving sketch — in *any* order, from any number of
+//! threads — lands in exactly the single-threaded state of the
+//! concatenated streams, bit for bit (integer-valued `f64` counters add
+//! exactly).  The coordinator is the one place that fold happens: it owns
+//! the serving sketch behind a lock, applies the durable-count accounting,
+//! counts the streams the configured
 //! [`ServePolicy`](crate::ServePolicy) kept or dropped, and publishes a
 //! [`CheckpointEnvelope`] snapshot every `checkpoint_every` merged updates
 //! (atomic temp-file + rename).
@@ -24,23 +25,7 @@ use crate::error::{ServeConfigError, ServeError};
 use crate::ServableSketch;
 use gsum_streams::ParkedState;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-
-/// What happened to one fold request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FoldOutcome {
-    /// The client state was merged; the serving state is now durable
-    /// through this many updates.
-    Merged {
-        /// The durable update count after the fold.
-        durable: u64,
-    },
-    /// The fault-injection crash point was reached: the state was *not*
-    /// merged and the coordinator refuses all further folds — exactly like
-    /// a SIGKILL between persistence points.
-    CrashInjected,
-}
 
 /// Counters describing a coordinator's lifetime so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,8 +65,6 @@ pub struct MergeCoordinator<S> {
     publisher: Mutex<SnapshotPublisher>,
     checkpoint_every: usize,
     checkpoint_path: Option<PathBuf>,
-    crash_after: Option<u64>,
-    crashed: AtomicBool,
 }
 
 impl<S: ServableSketch> MergeCoordinator<S> {
@@ -91,16 +74,12 @@ impl<S: ServableSketch> MergeCoordinator<S> {
     ///
     /// `checkpoint_every` is the snapshot cadence: a [`CheckpointEnvelope`]
     /// is published once at least that many updates merged since the last
-    /// snapshot.  `crash_after` is the fault-injection hook for
-    /// crash-recovery tests: once merging one more state would push the
-    /// durable count past it, the coordinator refuses the fold and every
-    /// one after, and the server dies without a final checkpoint.
+    /// snapshot.
     pub fn new(
         initial: S,
         durable_count: u64,
         checkpoint_every: usize,
         checkpoint_path: Option<PathBuf>,
-        crash_after: Option<u64>,
     ) -> Result<Self, ServeError> {
         if checkpoint_every == 0 {
             return Err(ServeConfigError::ZeroCheckpointEvery.into());
@@ -120,14 +99,7 @@ impl<S: ServableSketch> MergeCoordinator<S> {
             }),
             checkpoint_every,
             checkpoint_path,
-            crash_after,
-            crashed: AtomicBool::new(false),
         })
-    }
-
-    /// Whether the fault-injection crash point has been reached.
-    pub fn crashed(&self) -> bool {
-        self.crashed.load(Ordering::SeqCst)
     }
 
     /// The current g-SUM estimate of the serving state (the default
@@ -160,33 +132,25 @@ impl<S: ServableSketch> MergeCoordinator<S> {
     /// Fold one client state (which absorbed `updates` updates) into the
     /// serving state, snapshotting if the cadence came due.  Thread-safe:
     /// concurrent folds serialize on the state lock, and linearity makes
-    /// their order irrelevant to the resulting bytes.
-    pub fn fold(&self, client: &S, updates: u64) -> Result<FoldOutcome, ServeError> {
-        let (outcome, due) = self.merge(client, updates)?;
+    /// their order irrelevant to the resulting bytes.  Returns the durable
+    /// update count after the fold.
+    pub fn fold(&self, client: &S, updates: u64) -> Result<u64, ServeError> {
+        let (durable, due) = self.merge(client, updates)?;
         self.publish_due(due)?;
-        Ok(outcome)
+        Ok(durable)
     }
 
     /// The in-memory half of [`fold`](Self::fold): merge under the state
-    /// lock and return the snapshot envelope if the cadence came due,
-    /// without writing it.  The caller hands the envelope to
-    /// [`publish_due`](Self::publish_due), so it can release its own locks
-    /// before the disk write.
+    /// lock and return the durable count after the merge, plus the snapshot
+    /// envelope if the cadence came due, without writing it.  The caller
+    /// hands the envelope to [`publish_due`](Self::publish_due), so it can
+    /// release its own locks before the disk write.
     pub(crate) fn merge(
         &self,
         client: &S,
         updates: u64,
-    ) -> Result<(FoldOutcome, Option<CheckpointEnvelope>), ServeError> {
+    ) -> Result<(u64, Option<CheckpointEnvelope>), ServeError> {
         let mut st = self.lock();
-        if self.crashed() {
-            return Ok((FoldOutcome::CrashInjected, None));
-        }
-        if let Some(limit) = self.crash_after {
-            if st.durable_count + updates > limit {
-                self.crashed.store(true, Ordering::SeqCst);
-                return Ok((FoldOutcome::CrashInjected, None));
-            }
-        }
         st.sketch.merge(client)?;
         st.durable_count += updates;
         st.stats.durable_count = st.durable_count;
@@ -203,7 +167,7 @@ impl<S: ServableSketch> MergeCoordinator<S> {
         } else {
             None
         };
-        Ok((FoldOutcome::Merged { durable }, due))
+        Ok((durable, due))
     }
 
     /// The disk half of [`fold`](Self::fold): write the envelope
@@ -216,9 +180,9 @@ impl<S: ServableSketch> MergeCoordinator<S> {
     }
 
     /// Record a client stream folded to clean completion.  Folds and stream
-    /// ends are separate events (a stream may fold in many slices, or be
-    /// absorbed into a shard that folds later), so stream bookkeeping is
-    /// its own step.
+    /// ends are separate events (a stream's updates may reach the serving
+    /// state over several shard folds, mixed with other streams' updates),
+    /// so stream bookkeeping is its own step.
     pub fn note_stream_completed(&self) {
         self.lock().stats.streams_completed += 1;
     }
@@ -236,8 +200,8 @@ impl<S: ServableSketch> MergeCoordinator<S> {
     /// Fold a [`ParkedState`] — client state that traveled as checkpoint
     /// bytes, e.g. from an ingest tier on another machine.  Equivalent to
     /// rehydrating and [`fold`](Self::fold)ing: the bytes *are* a mergeable
-    /// handle.
-    pub fn fold_parked(&self, parked: &ParkedState) -> Result<FoldOutcome, ServeError> {
+    /// handle.  Returns the durable update count after the fold.
+    pub fn fold_parked(&self, parked: &ParkedState) -> Result<u64, ServeError> {
         let restored: S = parked.restore()?;
         self.fold(&restored, parked.updates())
     }

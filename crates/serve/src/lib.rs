@@ -48,7 +48,7 @@
 //!   streams in tests.
 //! * [`ServePolicy`] — what a stream that dies mid-frame keeps: nothing
 //!   ([`DiscardPartial`](ServePolicy::DiscardPartial), the no-double-count
-//!   default) or its completed slices
+//!   default) or every update of its completed frames
 //!   ([`MergeCompleted`](ServePolicy::MergeCompleted), the offset-replay
 //!   contract).
 //! * [`CheckpointEnvelope`] — serving-state bytes bound to the durable
@@ -70,7 +70,7 @@ pub mod registry;
 pub mod server;
 
 pub use checkpoint_envelope::{CheckpointEnvelope, ENVELOPE_MAGIC, ENVELOPE_VERSION};
-pub use coordinator::{FoldOutcome, MergeCoordinator, ServeStats};
+pub use coordinator::{MergeCoordinator, ServeStats};
 pub use error::{ServeConfigError, ServeError};
 pub use observer::{ServeEvent, ServeObserver};
 pub use policy::ServePolicy;

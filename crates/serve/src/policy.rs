@@ -4,18 +4,19 @@
 /// explicit end-of-stream frame (connection reset, producer crash, a
 /// mid-stream decode error).
 ///
-/// Linearity makes both choices exact: every client's contribution is a
-/// per-client clone with the serving prototype's seeds, so whatever subset
-/// of it the policy folds in, the serving state equals a single-threaded
-/// sketch of exactly the kept updates — bit for bit, in any fold order.
+/// Linearity makes both choices exact: every worker shard and
+/// per-connection accumulator is a clone with the serving prototype's
+/// seeds, so whatever subset of a client's updates the policy folds in, the
+/// serving state equals a single-threaded sketch of exactly the kept
+/// updates — bit for bit, in any fold order.
 ///
 /// The policies differ in *when* a client's updates become part of the
 /// serving state, which is also what decides their fate on failure:
 ///
-/// | policy             | fold granularity        | a dead stream keeps      |
-/// |--------------------|-------------------------|--------------------------|
-/// | `DiscardPartial`   | whole stream, at its end frame | nothing           |
-/// | `MergeCompleted`   | every completed slice   | all completed slices     |
+/// | policy           | a stream's updates fold                  | a dead stream keeps       |
+/// |------------------|------------------------------------------|---------------------------|
+/// | `DiscardPartial` | once, at its end frame                   | nothing                   |
+/// | `MergeCompleted` | with its worker's shard: once the shard holds ≥ K updates, on a query, or at a stream end | every update of its completed frames |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServePolicy {
     /// All-or-nothing streams: a client's updates accumulate in its
@@ -28,23 +29,26 @@ pub enum ServePolicy {
     /// updates, because the failed attempt contributed nothing.
     #[default]
     DiscardPartial,
-    /// Slice-streaming durability: every completed ingest slice folds into
-    /// the serving state immediately, so a stream that dies mid-frame is
-    /// merged up to its last completed slice (and the serving state
-    /// checkpoints mid-stream — the PR 4 kill/resume contract, where a
-    /// single writer replays only the non-durable suffix from the
-    /// acknowledged offset).
+    /// Mid-stream durability: each fold worker absorbs its connections'
+    /// decoded updates into one shard sketch, which folds into the serving
+    /// state once it holds at least K (`checkpoint_every`) updates, on a
+    /// query, and at a stream's end frame.  Durable counts are therefore
+    /// not K-aligned.  A stream that dies mid-frame keeps every update of
+    /// its completed frames, and the serving state checkpoints mid-stream.
+    /// That is the kill/resume contract: after a restart, a single writer
+    /// reads the durable count `D` (`COUNT`) and replays only the updates
+    /// from offset `D` on.
     ///
     /// Suits **offset-replay** producers (replay from the durable count, not
     /// from zero) and at-most-once producers that never retry; a client that
     /// blindly resends a whole failed stream under this policy would
-    /// double-count its completed slices.
+    /// double-count the updates of its completed frames.
     MergeCompleted,
 }
 
 impl ServePolicy {
-    /// Whether completed slices fold into the serving state while the
-    /// stream is still in flight.
+    /// Whether a stream's decoded updates fold into the serving state while
+    /// the stream is still in flight.
     pub fn folds_mid_stream(self) -> bool {
         matches!(self, ServePolicy::MergeCompleted)
     }

@@ -28,18 +28,12 @@
 //!   is nothing to share mid-stream: the per-connection accumulator *is*
 //!   the shard, folded once at the end frame or dropped on failure.
 //!
-//! Fault injection (`crash_after`) keeps the kill/resume contract bit for
-//! bit: with a crash point armed, `MergeCompleted` streams bypass the
-//! shards and fold in exact `checkpoint_every`-sized slices, so the durable
-//! count moves in K-slices and the crash lands between deterministic
-//! persistence points.
-//!
 //! Hostile deltas are stopped at dispatch: a batch that fails
 //! [`check_delta_magnitudes`] (Σ|δ| past `i64::MAX`) fails its stream
 //! before any worker coalesces it, so no summation order can overflow an
 //! item's `i64` total.
 
-use crate::coordinator::{FoldOutcome, MergeCoordinator};
+use crate::coordinator::MergeCoordinator;
 use crate::error::ServeError;
 use crate::observer::ServeEvent;
 use crate::protocol::{Command, Response};
@@ -54,9 +48,10 @@ use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Longest accepted command line, in bytes.  Real commands are ≤ 6 bytes;
-/// anything beyond this is garbage and earns a typed rejection instead of
-/// unbounded buffering.
+/// Longest accepted command line, in bytes.  A real command is a keyword
+/// plus at most one registered function name (`EST <function>`); a line
+/// beyond this is garbage and earns a typed rejection instead of unbounded
+/// buffering.
 const MAX_COMMAND_BYTES: usize = 256;
 
 /// Bytes read from a socket per `read` call.
@@ -69,21 +64,6 @@ const READS_PER_TICK: usize = 4;
 /// Reactor sleep when a full tick made no progress (nothing readable,
 /// writable, or pending).
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
-/// How decoded updates become durable serving state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FoldMode {
-    /// `MergeCompleted`, no crash point: batches absorb into the owning
-    /// worker's shard; the shard folds on cadence, query, or stream end.
-    Shard,
-    /// `MergeCompleted` with `crash_after` armed: per-connection
-    /// accumulator folded in exact `checkpoint_every`-sized slices, so
-    /// crash points stay deterministic (the kill/resume contract).
-    ExactSlices,
-    /// `DiscardPartial`: per-connection accumulator folded once at the end
-    /// frame, dropped on failure.
-    WholeStream,
-}
 
 /// A fold worker's shard.  Two locks with two jobs: `acc` guards the
 /// accumulator the worker absorbs into (held only for one absorb or one
@@ -168,27 +148,19 @@ impl Conn {
 }
 
 /// Run the serving loop: spawn the worker pool, drive the reactor until a
-/// clean `QUIT` drain or the fault-injection crash point, then fold any
-/// shard remainders.  Returns whether the crash point was reached (the
-/// caller decides about the final snapshot).
+/// clean `QUIT` drain, then fold any shard remainders.  The caller takes
+/// the final snapshot.
 pub(crate) fn run<S: ServableSketch>(
     prototype: &S,
     config: &ServeConfig,
     coordinator: &MergeCoordinator<S>,
     listener: TcpListener,
-) -> Result<bool, ServeError> {
+) -> Result<(), ServeError> {
     listener.set_nonblocking(true)?;
     let workers = config.workers();
-    let mode = if config.policy().folds_mid_stream() {
-        if config.crash_after().is_none() {
-            FoldMode::Shard
-        } else {
-            FoldMode::ExactSlices
-        }
-    } else {
-        FoldMode::WholeStream
-    };
-    let shards: Vec<Arc<Shard<S>>> = if mode == FoldMode::Shard {
+    // `MergeCompleted` gives every worker a shard; `DiscardPartial` gives
+    // none, and its workers keep per-connection accumulators instead.
+    let shards: Vec<Arc<Shard<S>>> = if config.policy().folds_mid_stream() {
         (0..workers)
             .map(|_| {
                 Arc::new(Shard {
@@ -205,7 +177,7 @@ pub(crate) fn run<S: ServableSketch>(
     };
 
     let (reply_tx, reply_rx) = mpsc::channel::<(u64, Response)>();
-    let crashed = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut txs = Vec::with_capacity(workers);
         for w in 0..workers {
             let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(config.pipeline().channel_depth());
@@ -213,9 +185,7 @@ pub(crate) fn run<S: ServableSketch>(
             let replies = reply_tx.clone();
             let shard = shards.get(w).cloned();
             let every = config.checkpoint_every();
-            scope.spawn(move || {
-                worker_loop(rx, replies, shard, mode, prototype, coordinator, every)
-            });
+            scope.spawn(move || worker_loop(rx, replies, shard, prototype, coordinator, every));
         }
         drop(reply_tx);
         let mut reactor = Reactor {
@@ -233,15 +203,13 @@ pub(crate) fn run<S: ServableSketch>(
         // the scope joins them before anything below runs.
     })?;
 
-    if !crashed {
-        // Shard remainders exist only for streams that failed mid-flight
-        // (completed streams flush at their end frame); fold them before
-        // the caller takes the final snapshot.
-        for shard in &shards {
-            flush_shard(shard, prototype, coordinator)?;
-        }
+    // Shard remainders exist only for streams that failed mid-flight
+    // (completed streams flush at their end frame); fold them before the
+    // caller takes the final snapshot.
+    for shard in &shards {
+        flush_shard(shard, prototype, coordinator)?;
     }
-    Ok(crashed)
+    Ok(())
 }
 
 /// Take a shard's accumulator (swapping in a fresh prototype clone) and
@@ -270,26 +238,27 @@ fn flush_shard<S: ServableSketch>(
             let pending = std::mem::take(&mut guard.pending);
             (taken, pending)
         };
-        // Shard mode never arms a crash point, so the outcome is always
-        // Merged.
         coordinator.merge(&taken, pending)?.1
     };
     coordinator.publish_due(due)
 }
 
-/// One fold worker: absorb batches, resolve stream ends and failures per
-/// [`FoldMode`], send replies back to the reactor.  Exits when the reactor
-/// drops the sending half.
+/// One fold worker: absorb batches, resolve stream ends and failures, send
+/// replies back to the reactor.  With a shard (`MergeCompleted`), batches
+/// absorb into it and it folds once it holds at least `checkpoint_every`
+/// updates, on a query, or at a stream end.  Without one
+/// (`DiscardPartial`), each connection accumulates alone, folds once at its
+/// end frame, and is dropped on failure.  Exits when the reactor drops the
+/// sending half.
 fn worker_loop<S: ServableSketch>(
     rx: Receiver<WorkerMsg>,
     replies: mpsc::Sender<(u64, Response)>,
     shard: Option<Arc<Shard<S>>>,
-    mode: FoldMode,
     prototype: &S,
     coordinator: &MergeCoordinator<S>,
     checkpoint_every: usize,
 ) {
-    // Per-connection accumulators (ExactSlices / WholeStream modes).
+    // Per-connection accumulators; empty whenever the worker has a shard.
     struct ConnAcc<S> {
         acc: S,
         count: u64,
@@ -302,19 +271,9 @@ fn worker_loop<S: ServableSketch>(
     let k = checkpoint_every as u64;
 
     while let Ok(msg) = rx.recv() {
-        if coordinator.crashed() {
-            // The server is dying mid-crash: no folds, no replies, no
-            // bookkeeping — exactly like a SIGKILL between persistence
-            // points.
-            if let WorkerMsg::End { conn } | WorkerMsg::Fail { conn, .. } = msg {
-                conns.remove(&conn);
-            }
-            continue;
-        }
         match msg {
-            WorkerMsg::Batch { conn, updates } => match mode {
-                FoldMode::Shard => {
-                    let shard = shard.as_ref().expect("shard mode has a shard");
+            WorkerMsg::Batch { conn, updates } => match &shard {
+                Some(shard) => {
                     let due = {
                         let mut guard = shard.acc.lock().expect("shard lock poisoned");
                         guard.sketch.update_batch(&updates);
@@ -327,108 +286,38 @@ fn worker_loop<S: ServableSketch>(
                         }
                     }
                 }
-                FoldMode::ExactSlices => {
-                    let mut st = conns.remove(&conn).unwrap_or_else(fresh);
-                    let mut off = 0usize;
-                    let mut alive = true;
-                    while off < updates.len() {
-                        let take = ((k - st.count) as usize).min(updates.len() - off);
-                        st.acc.update_batch(&updates[off..off + take]);
-                        st.count += take as u64;
-                        off += take;
-                        if st.count == k {
-                            match coordinator.fold(&st.acc, k) {
-                                Ok(FoldOutcome::Merged { .. }) => {
-                                    st.acc = prototype.clone();
-                                    st.count = 0;
-                                }
-                                Ok(FoldOutcome::CrashInjected) => {
-                                    alive = false;
-                                    break;
-                                }
-                                Err(e) => {
-                                    let _ = replies.send((conn, Response::Err(e.to_string())));
-                                    alive = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if alive {
-                        conns.insert(conn, st);
-                    }
-                }
-                FoldMode::WholeStream => {
+                None => {
                     let st = conns.entry(conn).or_insert_with(fresh);
                     st.acc.update_batch(&updates);
                     st.count += updates.len() as u64;
                 }
             },
             WorkerMsg::End { conn } => {
-                let folded: Result<Option<u64>, ServeError> = match mode {
-                    FoldMode::Shard => {
-                        flush_shard(shard.as_ref().expect("shard"), prototype, coordinator)
-                            .map(|()| Some(coordinator.durable_count()))
-                    }
-                    FoldMode::ExactSlices => match conns.remove(&conn) {
-                        Some(st) if st.count > 0 => match coordinator.fold(&st.acc, st.count) {
-                            Ok(FoldOutcome::Merged { durable }) => Ok(Some(durable)),
-                            Ok(FoldOutcome::CrashInjected) => Ok(None),
-                            Err(e) => Err(e),
-                        },
-                        // The stream ended exactly on a slice boundary.
-                        _ => Ok(Some(coordinator.durable_count())),
-                    },
-                    FoldMode::WholeStream => {
+                let folded = match &shard {
+                    Some(shard) => flush_shard(shard, prototype, coordinator)
+                        .map(|()| coordinator.durable_count()),
+                    None => {
                         let st = conns.remove(&conn).unwrap_or_else(fresh);
-                        match coordinator.fold(&st.acc, st.count) {
-                            Ok(FoldOutcome::Merged { durable }) => Ok(Some(durable)),
-                            Ok(FoldOutcome::CrashInjected) => Ok(None),
-                            Err(e) => Err(e),
-                        }
+                        coordinator.fold(&st.acc, st.count)
                     }
                 };
                 match folded {
-                    Ok(Some(durable)) => {
+                    Ok(durable) => {
                         coordinator.note_stream_completed();
                         let _ = replies.send((conn, Response::Ok(durable)));
                     }
-                    // Crash injected: die without a reply, like a SIGKILL.
-                    Ok(None) => {}
                     Err(e) => {
                         let _ = replies.send((conn, Response::Err(e.to_string())));
                     }
                 }
             }
             WorkerMsg::Fail { conn, reason } => {
-                let mut discarded = 0u64;
-                let mut crash_silent = false;
-                match mode {
-                    // MergeCompleted keeps the full decoded prefix; in
-                    // shard mode it is already absorbed and will fold on
-                    // the next flush.
-                    FoldMode::Shard => {}
-                    FoldMode::ExactSlices => {
-                        // The sub-slice remainder is part of the decoded
-                        // prefix: fold it too.
-                        if let Some(st) = conns.remove(&conn) {
-                            if st.count > 0 {
-                                match coordinator.fold(&st.acc, st.count) {
-                                    Ok(FoldOutcome::Merged { .. }) => {}
-                                    Ok(FoldOutcome::CrashInjected) => crash_silent = true,
-                                    Err(_) => discarded = st.count,
-                                }
-                            }
-                        }
-                    }
-                    FoldMode::WholeStream => {
-                        discarded = conns.remove(&conn).map_or(0, |st| st.count);
-                    }
-                }
-                if !crash_silent {
-                    coordinator.note_stream_failed(discarded);
-                    let _ = replies.send((conn, Response::Err(reason)));
-                }
+                // A shard keeps the stream's decoded prefix: it is already
+                // absorbed and folds on the next flush.  A per-connection
+                // accumulator is dropped whole.
+                let discarded = conns.remove(&conn).map_or(0, |st| st.count);
+                coordinator.note_stream_failed(discarded);
+                let _ = replies.send((conn, Response::Err(reason)));
             }
         }
     }
@@ -465,24 +354,19 @@ struct Reactor<'a, S: ServableSketch> {
 }
 
 impl<S: ServableSketch> Reactor<'_, S> {
-    /// The readiness loop.  Returns `Ok(true)` when the fault-injection
-    /// crash point was reached, `Ok(false)` on a clean `QUIT` drain.
+    /// The readiness loop.  Returns once a `QUIT` drain has finished every
+    /// in-flight request.
     fn serve_loop(
         &mut self,
         listener: &TcpListener,
         replies: &Receiver<(u64, Response)>,
-    ) -> Result<bool, ServeError> {
+    ) -> Result<(), ServeError> {
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_id: u64 = 0;
         let timeout = self.config.client_read_timeout();
         let max_connections = self.config.max_connections();
 
         loop {
-            if self.coordinator.crashed() {
-                // Die like a SIGKILL: every connection drops unanswered,
-                // no shard flush, no final snapshot.
-                return Ok(true);
-            }
             let mut progress = false;
             let now = Instant::now();
 
@@ -561,7 +445,7 @@ impl<S: ServableSketch> Reactor<'_, S> {
                 // silent peer cannot wedge a clean shutdown.
                 conns.retain(|_, c| c.mid_request() || !c.outbuf.is_empty());
                 if conns.is_empty() {
-                    return Ok(false);
+                    return Ok(());
                 }
             }
 
@@ -916,8 +800,9 @@ impl<S: ServableSketch> Reactor<'_, S> {
     /// through unread sockets, the clients) instead of growing a buffer.
     /// Workers never wait on the reactor, so this cannot deadlock.
     fn send(&self, worker: usize, msg: WorkerMsg) {
-        // An Err means the worker is gone, which only happens during
-        // crash-point shutdown; the message's stream dies with the server.
+        // An Err means the worker is gone, which happens only if it
+        // panicked.  The message is then lost: its connection never gets a
+        // reply, and a `QUIT` drain waits on it.
         let _ = self.txs[worker].send(msg);
     }
 
@@ -979,7 +864,7 @@ mod tests {
         let prototype = prototype();
         let shard = loaded_shard(&prototype);
         let coordinator =
-            MergeCoordinator::new(prototype.clone(), 0, 1 << 20, None, None).expect("coordinator");
+            MergeCoordinator::new(prototype.clone(), 0, 1 << 20, None).expect("coordinator");
         // Stand in for another flush that has taken the accumulator and
         // not yet merged it: the shard reads empty, but its updates are
         // not durable.
@@ -1013,7 +898,7 @@ mod tests {
             std::process::id()
         ));
         // A cadence of 1: the fold below makes a snapshot due.
-        let coordinator = MergeCoordinator::new(prototype.clone(), 0, 1, Some(path.clone()), None)
+        let coordinator = MergeCoordinator::new(prototype.clone(), 0, 1, Some(path.clone()))
             .expect("coordinator");
         std::thread::scope(|scope| {
             let folded = coordinator.with_publisher_held(|| {

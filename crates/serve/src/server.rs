@@ -32,7 +32,6 @@ pub struct ServeConfig {
     policy: ServePolicy,
     checkpoint_every: usize,
     pipeline: ShardedIngest,
-    crash_after: Option<u64>,
     client_read_timeout: Option<std::time::Duration>,
     workers: usize,
     max_connections: usize,
@@ -45,7 +44,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("policy", &self.policy)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("pipeline", &self.pipeline)
-            .field("crash_after", &self.crash_after)
             .field("client_read_timeout", &self.client_read_timeout)
             .field("workers", &self.workers)
             .field("max_connections", &self.max_connections)
@@ -69,7 +67,6 @@ impl ServeConfig {
             policy: ServePolicy::default(),
             checkpoint_every: 512,
             pipeline: ShardedIngest::new(2),
-            crash_after: None,
             client_read_timeout: Some(std::time::Duration::from_secs(30)),
             workers: 2,
             max_connections: 256,
@@ -83,7 +80,12 @@ impl ServeConfig {
         self
     }
 
-    /// Snapshot cadence and ingest-slice granularity, in updates.
+    /// Snapshot cadence, in updates: a [`CheckpointEnvelope`] is published
+    /// once at least this many updates have merged since the last one.
+    /// Under [`ServePolicy::MergeCompleted`] it is also the fold trigger: a
+    /// fold worker's shard folds into the serving state once it holds this
+    /// many unfolded updates (as well as on a query or at a stream's end),
+    /// so durable counts are in general not multiples of it.
     ///
     /// # Panics
     /// Panics if `every == 0`; use
@@ -168,15 +170,6 @@ impl ServeConfig {
         self
     }
 
-    /// Fault-injection hook for crash-recovery tests: once merging one more
-    /// client state would push the durable count past `updates`, the server
-    /// dies without a final checkpoint — exactly like a SIGKILL between
-    /// persistence points.  Never set this in production.
-    pub fn with_crash_after(mut self, updates: u64) -> Self {
-        self.crash_after = Some(updates);
-        self
-    }
-
     /// How long a connection may sit idle (no bytes arriving) before the
     /// server gives up on it.  The timeout is what keeps one stalled client
     /// from pinning a connection slot forever — and, since a clean shutdown
@@ -222,11 +215,6 @@ impl ServeConfig {
         self.client_read_timeout
     }
 
-    /// The configured fault-injection crash point.
-    pub fn crash_after(&self) -> Option<u64> {
-        self.crash_after
-    }
-
     pub(crate) fn emit(&self, event: &ServeEvent) {
         (self.observer)(event);
     }
@@ -235,10 +223,11 @@ impl ServeConfig {
 /// How a [`GsumServer::serve`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeSummary {
-    /// `true` for a `QUIT`-triggered shutdown (final snapshot written when
-    /// a checkpoint path is configured); `false` when the fault-injection
-    /// crash point was reached (no final snapshot — only previously
-    /// published envelopes survive).
+    /// Always `true` when [`GsumServer::serve`] returns `Ok`: the only way
+    /// out of the serving loop is a `QUIT`-triggered drain, after which
+    /// the final snapshot is written (when a checkpoint path is
+    /// configured).  A killed process returns nothing; what survives it is
+    /// the last published [`CheckpointEnvelope`].
     pub clean_shutdown: bool,
     /// The coordinator's lifetime counters at shutdown.
     pub stats: ServeStats,
@@ -271,13 +260,8 @@ impl<S: ServableSketch> GsumServer<S> {
             None => None,
         };
         let (initial, durable) = restored.unwrap_or_else(|| (prototype.clone(), 0));
-        let coordinator = MergeCoordinator::new(
-            initial,
-            durable,
-            config.checkpoint_every,
-            checkpoint_path,
-            config.crash_after,
-        )?;
+        let coordinator =
+            MergeCoordinator::new(initial, durable, config.checkpoint_every, checkpoint_path)?;
         Ok(Self {
             prototype,
             config,
@@ -314,20 +298,17 @@ impl<S: ServableSketch> GsumServer<S> {
         &self.coordinator
     }
 
-    /// Accept connections until a `QUIT` command (or the fault-injection
-    /// crash point).  A single reactor thread multiplexes every connection
-    /// — framed streams decode incrementally as bytes arrive and their
-    /// batches fan out to the bounded fold-worker pool; command lines
-    /// answer from the published serving state.  In-flight streams run to
-    /// completion before a clean shutdown returns, and a final snapshot is
-    /// published.
+    /// Accept connections until a `QUIT` command.  A single reactor thread
+    /// multiplexes every connection — framed streams decode incrementally
+    /// as bytes arrive and their batches fan out to the bounded fold-worker
+    /// pool; command lines answer from the published serving state.
+    /// In-flight streams run to completion before a clean shutdown returns,
+    /// and a final snapshot is published.
     pub fn serve(&self, listener: TcpListener) -> Result<ServeSummary, ServeError> {
-        let crashed = reactor::run(&self.prototype, &self.config, &self.coordinator, listener)?;
-        if !crashed {
-            self.coordinator.snapshot()?;
-        }
+        reactor::run(&self.prototype, &self.config, &self.coordinator, listener)?;
+        self.coordinator.snapshot()?;
         Ok(ServeSummary {
-            clean_shutdown: !crashed,
+            clean_shutdown: true,
             stats: self.coordinator.stats(),
         })
     }

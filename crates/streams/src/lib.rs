@@ -46,16 +46,12 @@
 //! * [`generator`] — workload generators: uniform and Zipf item popularity,
 //!   planted heavy-hitter streams, frequency-prescribed streams (used by the
 //!   communication reductions), and adversarial collision workloads.
-//! * [`multipass`] — a tiny driver that feeds a stream to a `p`-pass
-//!   algorithm, pass by pass, so that 2-pass algorithms are exercised through
-//!   the same interface as 1-pass ones.
 
 pub mod checkpoint;
 pub mod coordinator;
 pub mod error;
 pub mod frequency;
 pub mod generator;
-pub mod multipass;
 pub mod scratch;
 pub mod sharded;
 pub mod sink;
@@ -72,7 +68,6 @@ pub use generator::{
     AdversarialCollisionGenerator, FrequencyPrescribedGenerator, PlantedStreamGenerator,
     StreamConfig, StreamGenerator, UniformStreamGenerator, ZipfStreamGenerator,
 };
-pub use multipass::{run_multi_pass, run_one_pass, MultiPassAlgorithm, OnePassAlgorithm};
 pub use scratch::IngestScratch;
 pub use sharded::{IngestConfigError, IngestError, ShardedIngest};
 pub use sink::{

@@ -226,9 +226,10 @@
 //! passes `i64::MAX` is a typed
 //! [`IngestError::DeltaOverflow`](prelude::IngestError::DeltaOverflow),
 //! never a panic or a wrapped counter.
-//! `examples/ingest_server.rs` wires the three layers into a TCP serving
-//! loop that checkpoints every K updates and resumes bit-exactly after a
-//! kill.
+//! `examples/ingest_server.rs` serves these layers over TCP from a child
+//! process, SIGKILLs it mid-stream, reboots it from its last checkpoint
+//! and replays from the durable count — landing bit-exactly on the
+//! uninterrupted estimate.
 //!
 //! ```
 //! use zerolaw::prelude::*;
@@ -302,8 +303,7 @@
 //!
 //! let cfg = GSumConfig::with_space_budget(1 << 8, 0.2, 128, 3);
 //! let prototype = OnePassGSumSketch::new(PowerFunction::new(2.0), &cfg);
-//! let coordinator =
-//!     MergeCoordinator::new(prototype.clone(), 0, 256, None, None).expect("config");
+//! let coordinator = MergeCoordinator::new(prototype.clone(), 0, 256, None).expect("config");
 //!
 //! // Two "clients", each a framed stream (in production: sockets) decoded
 //! // into its own clone of the prototype, then folded.
@@ -417,10 +417,10 @@ pub mod prelude {
     };
     pub use gsum_hash::{HashBackend, RowHasher, SignBank, SignFamily, SignHashBank, TabSignBank};
     pub use gsum_serve::{
-        protocol, CheckpointEnvelope, Command, FoldOutcome, GsumServer, MergeCoordinator,
-        ProtocolError, RegistryError, Response, ServableSketch, ServableSubstrate, ServeConfig,
-        ServeConfigError, ServeError, ServeEvent, ServeObserver, ServePolicy, ServeStats,
-        ServeSummary, SketchRegistry,
+        protocol, CheckpointEnvelope, Command, GsumServer, MergeCoordinator, ProtocolError,
+        RegistryError, Response, ServableSketch, ServableSubstrate, ServeConfig, ServeConfigError,
+        ServeError, ServeEvent, ServeObserver, ServePolicy, ServeStats, ServeSummary,
+        SketchRegistry,
     };
     pub use gsum_sketch::{
         AmsF2Sketch, CountMinConfig, CountMinSketch, CountSketch, CountSketchConfig,

@@ -121,12 +121,13 @@ impl ClientFolds {
     }
 }
 
-/// Fold one client state; the coordinator has no crash point armed.
+/// Fold one client state; the durable count it reports covers the fold.
 fn fold(coordinator: &MergeCoordinator<Sketch>, state: &Sketch, updates: u64) {
-    assert!(matches!(
-        coordinator.fold(state, updates).expect("fold"),
-        FoldOutcome::Merged { .. }
-    ));
+    let durable = coordinator.fold(state, updates).expect("fold");
+    assert!(
+        durable >= updates,
+        "durable count {durable} must cover the {updates} updates just folded"
+    );
 }
 
 /// Deterministic Fisher–Yates from a seed (the proptest shim has no
@@ -202,7 +203,7 @@ proptest! {
 
                 let prototype = proto(backend);
                 let coordinator =
-                    MergeCoordinator::new(prototype.clone(), 0, 37, None, None).expect("config");
+                    MergeCoordinator::new(prototype.clone(), 0, 37, None).expect("config");
                 let mut folds = Vec::new();
                 for (updates, cut) in &specs {
                     let client =
@@ -252,25 +253,24 @@ proptest! {
         let specs = client_specs(&raw);
         for backend in BACKENDS {
             let prototype = proto(backend);
-            let live = MergeCoordinator::new(prototype.clone(), 0, 1_000, None, None)
+            let live = MergeCoordinator::new(prototype.clone(), 0, 1_000, None)
                 .expect("config");
-            let parked = MergeCoordinator::new(prototype.clone(), 0, 1_000, None, None)
+            let parked = MergeCoordinator::new(prototype.clone(), 0, 1_000, None)
                 .expect("config");
 
+            let mut durable = 0u64;
             for (updates, _) in &specs {
                 let mut client = prototype.clone();
                 for &u in updates {
                     client.update(u);
                 }
-                assert!(matches!(
+                durable += updates.len() as u64;
+                prop_assert_eq!(
                     live.fold(&client, updates.len() as u64).expect("fold"),
-                    FoldOutcome::Merged { .. }
-                ));
+                    durable
+                );
                 let bytes = ParkedState::park(&client, updates.len() as u64).expect("park");
-                assert!(matches!(
-                    parked.fold_parked(&bytes).expect("fold parked"),
-                    FoldOutcome::Merged { .. }
-                ));
+                prop_assert_eq!(parked.fold_parked(&bytes).expect("fold parked"), durable);
             }
 
             prop_assert_eq!(live.durable_count(), parked.durable_count());
@@ -308,7 +308,7 @@ fn concurrent_thread_fan_in_is_bit_identical() {
 
             let prototype = proto(backend);
             let coordinator =
-                MergeCoordinator::new(prototype.clone(), 0, 64, None, None).expect("config");
+                MergeCoordinator::new(prototype.clone(), 0, 64, None).expect("config");
             let barrier = std::sync::Barrier::new(CLIENTS);
             std::thread::scope(|scope| {
                 for (updates, cut) in &specs {

@@ -15,12 +15,15 @@
 //! across readiness events, wire frames split mid-frame across writes,
 //! oversized command lines, interleaved queries and ingest streams
 //! pipelined on one connection, the deterministic `BUSY` shed reply,
-//! stream acks that stay durable while queries flush the same shard, and a
-//! stream of hostile deltas failing alone without taking the server down.
+//! stream acks that stay durable while queries flush the same shard, a
+//! stream of hostile deltas failing alone without taking the server down,
+//! and a restart from a mid-stream envelope that replays the non-durable
+//! suffix back to the uninterrupted state.
 
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -667,5 +670,170 @@ fn hostile_delta_total_fails_the_stream_not_the_server() {
         assert_eq!(summary.stats.streams_completed, 1);
         assert_eq!(summary.stats.streams_failed, 1);
         assert_eq!(server.durable_count(), benign.len() as u64);
+    }
+}
+
+/// The durable count of the envelope at `path` (0 before the first one).
+fn durable_on_disk(path: &Path) -> u64 {
+    CheckpointEnvelope::load(path)
+        .expect("load envelope")
+        .map_or(0, |env| env.durable_count())
+}
+
+/// Serve on a detached thread, so a failing test cannot wedge a join; the
+/// receiver yields the summary once `serve` returns.
+fn serve_detached(
+    server: &Arc<GsumServer<OnePassGSumSketch<PowerFunction>>>,
+) -> (SocketAddr, std::sync::mpsc::Receiver<ServeSummary>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let serving = Arc::clone(server);
+    std::thread::spawn(move || {
+        let _ = done_tx.send(serving.serve(listener).expect("serve"));
+    });
+    (addr, done_rx)
+}
+
+/// Kill/resume on the production shard path.  A `MergeCompleted` server
+/// with a checkpoint acknowledges one complete stream, then absorbs frames
+/// of a second stream that never ends.  A copy of its envelope file taken
+/// while it serves is exactly what a SIGKILL at that moment would leave,
+/// because envelopes are published by temp file and rename.  A second
+/// server booted from the copy reports the durable count `D`, and
+/// replaying `updates[D..]` must land on the uninterrupted single-threaded
+/// replay: the same `EST` bits and the same final snapshot bytes.
+#[test]
+fn restart_from_a_mid_stream_envelope_replays_to_the_uninterrupted_state() {
+    const BOUND: Duration = Duration::from_secs(30);
+    const TOTAL: usize = 600;
+    const FIRST: usize = 200;
+    // `updates[SENT..]` never reach the first server.
+    const SENT: usize = 500;
+    // Half the updates hit one heavy item.  Without one, this config
+    // estimates 0 for the uninterrupted and the resumed state alike, and
+    // comparing `EST` bits would show nothing.
+    let updates: Vec<Update> = (0..TOTAL as u64)
+        .map(|i| {
+            let item = if i % 2 == 0 {
+                5
+            } else {
+                (i * 7 + i / 5) % DOMAIN
+            };
+            let delta = 1 + (i % 5) as i64;
+            Update::new(item, if i % 3 == 0 { -delta } else { delta })
+        })
+        .collect();
+    let config = || {
+        ServeConfig::new()
+            .with_policy(ServePolicy::MergeCompleted)
+            .with_checkpoint_every(37)
+            .with_pipeline(ShardedIngest::new(2).with_batch_size(31))
+    };
+    let connect = |addr: SocketAddr| {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(BOUND)).expect("read timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+    for backend in BACKENDS {
+        let mut single = proto(backend);
+        for &u in &updates {
+            single.update(u);
+        }
+        assert!(single.estimate() > 0.0, "{backend:?}: a degenerate stream");
+        let stem = format!("gsum_serve_restart_{}_{backend:?}", std::process::id());
+        let live = std::env::temp_dir().join(format!("{stem}_live.ckpt"));
+        let killed = std::env::temp_dir().join(format!("{stem}_killed.ckpt"));
+
+        // Incarnation 1: serves until its envelope is durable past the
+        // first stream, mid-way through the second.
+        let server =
+            Arc::new(GsumServer::boot(proto(backend), config(), Some(live.clone())).expect("boot"));
+        let (addr, done) = serve_detached(&server);
+        let (mut stream, mut reader) = connect(addr);
+        assert_eq!(
+            exchange(
+                &mut stream,
+                &mut reader,
+                &encode_client(&updates[..FIRST], None)
+            ),
+            Response::Ok(FIRST as u64),
+            "{backend:?}"
+        );
+        let second = encode_client(&updates[FIRST..SENT], Some(SENT - FIRST));
+        let mut chunks = second.chunks(64);
+        let deadline = std::time::Instant::now() + BOUND;
+        while durable_on_disk(&live) <= FIRST as u64 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{backend:?}: no envelope durable past the first stream"
+            );
+            if let Some(chunk) = chunks.next() {
+                stream.write_all(chunk).expect("send chunk");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::fs::copy(&live, &killed).expect("copy the envelope");
+        // The copy is all that survives; incarnation 1's later state is moot.
+        drop((stream, reader));
+        let (mut stream, mut reader) = connect(addr);
+        assert_eq!(exchange(&mut stream, &mut reader, b"QUIT\n"), Response::Bye);
+        assert!(
+            done.recv_timeout(BOUND)
+                .expect("serve returns")
+                .clean_shutdown
+        );
+
+        // Incarnation 2: boots from the copy and takes the replayed suffix.
+        let server = Arc::new(
+            GsumServer::boot(proto(backend), config(), Some(killed.clone())).expect("reboot"),
+        );
+        let (addr, done) = serve_detached(&server);
+        let (mut stream, mut reader) = connect(addr);
+        let durable = match exchange(&mut stream, &mut reader, b"COUNT\n") {
+            Response::Count(n) => n as usize,
+            other => panic!("{backend:?}: expected COUNT reply, got {other:?}"),
+        };
+        assert!(
+            durable > FIRST && durable <= SENT,
+            "{backend:?}: durable count {durable} must lie inside the second stream's sent part"
+        );
+        assert_eq!(
+            exchange(
+                &mut stream,
+                &mut reader,
+                &encode_client(&updates[durable..], None)
+            ),
+            Response::Ok(TOTAL as u64),
+            "{backend:?}"
+        );
+        assert_eq!(
+            exchange(&mut stream, &mut reader, b"EST\n"),
+            Response::Est {
+                bits: single.estimate().to_bits()
+            },
+            "{backend:?}: resumed EST must equal the uninterrupted replay's bits"
+        );
+        assert_eq!(exchange(&mut stream, &mut reader, b"QUIT\n"), Response::Bye);
+        assert!(
+            done.recv_timeout(BOUND)
+                .expect("serve returns")
+                .clean_shutdown
+        );
+
+        let snapshot = CheckpointEnvelope::load(&killed)
+            .expect("load final snapshot")
+            .expect("a clean shutdown publishes a final snapshot");
+        assert_eq!(snapshot.durable_count(), TOTAL as u64);
+        assert_eq!(
+            snapshot.state_bytes(),
+            single.to_checkpoint_bytes().expect("save").as_slice(),
+            "{backend:?}: resumed state must equal the uninterrupted replay bit for bit"
+        );
+        for path in [&live, &killed] {
+            let _ = std::fs::remove_file(path);
+            let _ = std::fs::remove_file(path.with_extension("tmp"));
+        }
     }
 }
