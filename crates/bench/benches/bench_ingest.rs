@@ -22,34 +22,33 @@
 //!   at the precompute-then-apply seam: `hash_stage` runs only the batched
 //!   `column_sign_batch` kernels over the coalesced keys (all rows),
 //!   `apply_stage` only the signed counter scatter from precomputed
-//!   columns/signs.  Their ns/iter must sum to at most the
-//!   `coalesced_full` row (which additionally pays the coalescing sort) —
-//!   `check_bench_schema` enforces that, so a regression in either kernel
-//!   is attributable from the artifact alone.
+//!   columns/signs, so a regression in either kernel is attributable from
+//!   the artifact alone.
 //! * `ams/eval_stage/{family}` — the AMS sign-hash evaluation stage in
 //!   isolation (new in v6): one 320-counter sign bank — the shape the
 //!   one-pass heavy hitter's `AmsF2Sketch` carries — evaluated over the
 //!   coalesced keys with the item-outer block kernel, per sign family
 //!   (`polynomial4` and `tabulation`).  This is the kernel hot-path round 4
 //!   restructured, so the row makes a regression in the SoA/AVX-512 lowering
-//!   attributable without rerunning the whole estimator.  The polynomial4
-//!   row is bounded above by `onepass_gsum/coalesced_full/*` (the full
-//!   pipeline pays at least one such bank pass), which `check_bench_schema`
-//!   enforces.
+//!   attributable without rerunning the whole estimator.
 //!
-//! Besides the console table, the bench writes a machine-readable
-//! `BENCH_ingest.json` at the workspace root (override the path with the
-//! `BENCH_INGEST_JSON` env var) so CI can upload it and perf regressions are
-//! visible per PR.  Set `BENCH_INGEST_QUICK=1` for a fast smoke run.
+//! Besides the console table, the bench writes `BENCH_ingest.json` at the
+//! workspace root (override the path with the `BENCH_INGEST_JSON` env var)
+//! so CI can gate and upload it.  Its fields, required rows and the
+//! inequalities between rows are stated once, in the
+//! `gsum_bench::artifact::INGEST` schema table.  Set `BENCH_INGEST_QUICK=1`
+//! for a fast smoke run.  The bench exits non-zero if it cannot write.
 
+use gsum_bench::artifact::{rounded, Artifact, INGEST};
 use gsum_core::{GSumConfig, OnePassGSumSketch};
 use gsum_gfunc::library::PowerFunction;
 use gsum_hash::{HashBackend, RowHasher, SignBank, SignFamily, SignHashBank};
 use gsum_sketch::{CountSketch, CountSketchConfig};
 use gsum_streams::{
-    coalesce_updates, ShardedIngest, StreamConfig, StreamGenerator, StreamSink, TurnstileStream,
-    ZipfStreamGenerator,
+    coalesce_updates, MergeableSketch, ShardedIngest, StreamConfig, StreamGenerator, StreamSink,
+    TurnstileStream, ZipfStreamGenerator,
 };
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 const DOMAIN: u64 = 1 << 12;
@@ -91,30 +90,6 @@ impl BenchResult {
     }
 }
 
-/// The git commit the bench ran against, so `BENCH_ingest.json` artifacts
-/// are comparable across the PR trajectory.  Tries the `GITHUB_SHA` /
-/// `BENCH_GIT_COMMIT` environment (CI), then `git rev-parse HEAD`, and
-/// reports `"unknown"` when neither works (e.g. a source tarball).
-fn git_commit() -> String {
-    for var in ["BENCH_GIT_COMMIT", "GITHUB_SHA"] {
-        if let Ok(sha) = std::env::var(var) {
-            if !sha.is_empty() {
-                return sha;
-            }
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|sha| sha.trim().to_string())
-        .filter(|sha| !sha.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Time `routine` with a per-iteration `setup` whose cost (sketch
 /// construction — for the tabulation backend that is filling 8 × 256
 /// lookup tables per hash) is *excluded* from the measurement, so the
@@ -143,25 +118,29 @@ fn measure<T>(
     (measured.as_nanos() as f64 / iterations as f64, iterations)
 }
 
-fn run<T>(
-    results: &mut Vec<BenchResult>,
-    name: &str,
-    updates: usize,
+/// The workload every variant ingests, the time budget per variant, and
+/// the rows measured so far.
+struct Bench<'a> {
+    s: &'a TurnstileStream,
     budget: Duration,
-    setup: impl FnMut() -> T,
-    routine: impl FnMut(T),
-) {
-    let (ns_per_iter, iterations) = measure(budget, setup, routine);
-    let updates_per_sec = updates as f64 / (ns_per_iter / 1e9);
-    println!(
-        "{name:<44} {ns_per_iter:>14.0} ns/iter  {updates_per_sec:>12.3e} upd/s  ({iterations} iters)"
-    );
-    results.push(BenchResult {
-        name: name.to_string(),
-        ns_per_iter,
-        updates_per_sec,
-        iterations,
-    });
+    results: Vec<BenchResult>,
+}
+
+impl Bench<'_> {
+    /// Measure one variant (see [`measure`]) and record its row.
+    fn run<T>(&mut self, name: &str, setup: impl FnMut() -> T, routine: impl FnMut(T)) {
+        let (ns_per_iter, iterations) = measure(self.budget, setup, routine);
+        let updates_per_sec = self.s.updates().len() as f64 / (ns_per_iter / 1e9);
+        println!(
+            "{name:<44} {ns_per_iter:>14.0} ns/iter  {updates_per_sec:>12.3e} upd/s  ({iterations} iters)"
+        );
+        self.results.push(BenchResult {
+            name: name.to_string(),
+            ns_per_iter,
+            updates_per_sec,
+            iterations,
+        });
+    }
 }
 
 fn countsketch(backend: HashBackend) -> CountSketch {
@@ -173,69 +152,59 @@ fn gsum_sketch(backend: HashBackend) -> OnePassGSumSketch<PowerFunction> {
     OnePassGSumSketch::new(PowerFunction::new(2.0), &config)
 }
 
-fn bench_countsketch(
-    results: &mut Vec<BenchResult>,
-    s: &TurnstileStream,
-    updates: usize,
-    budget: Duration,
-) {
+/// The single-threaded modes of one sketch family across both backends:
+/// one `update` per stream update, `update_batch` over fixed-size chunks,
+/// and one `update_batch` over the whole stream.
+fn bench_modes<S: StreamSink>(bench: &mut Bench, family: &str, make: fn(HashBackend) -> S) {
+    let s = bench.s;
     for backend in [HashBackend::Polynomial, HashBackend::Tabulation] {
         let b = backend.name();
-        run(
-            results,
-            &format!("countsketch/per_update/{b}"),
-            updates,
-            budget,
-            || countsketch(backend),
-            |mut cs| {
+        bench.run(
+            &format!("{family}/per_update/{b}"),
+            || make(backend),
+            |mut sk| {
                 for &u in s.iter() {
-                    cs.update(u);
+                    sk.update(u);
                 }
-                std::hint::black_box(&cs);
+                std::hint::black_box(&sk);
             },
         );
-        run(
-            results,
-            &format!("countsketch/batched_chunks/{b}"),
-            updates,
-            budget,
-            || countsketch(backend),
-            |mut cs| {
+        bench.run(
+            &format!("{family}/batched_chunks/{b}"),
+            || make(backend),
+            |mut sk| {
                 for chunk in s.updates().chunks(CHUNK) {
-                    cs.update_batch(chunk);
+                    sk.update_batch(chunk);
                 }
-                std::hint::black_box(&cs);
+                std::hint::black_box(&sk);
             },
         );
-        run(
-            results,
-            &format!("countsketch/coalesced_full/{b}"),
-            updates,
-            budget,
-            || countsketch(backend),
-            |mut cs| {
-                cs.update_batch(s.updates());
-                std::hint::black_box(&cs);
+        bench.run(
+            &format!("{family}/coalesced_full/{b}"),
+            || make(backend),
+            |mut sk| {
+                sk.update_batch(s.updates());
+                std::hint::black_box(&sk);
             },
         );
     }
-    bench_stage_split(results, s, updates, budget);
-    for shards in [2usize, 4] {
-        run(
-            results,
-            &format!("countsketch/sharded_{shards}/polynomial"),
-            updates,
-            budget,
-            || countsketch(HashBackend::Polynomial),
-            |prototype| {
-                let merged = ShardedIngest::new(shards)
-                    .with_batch_size(2048)
-                    .ingest(&mut s.source(), &prototype)
-                    .unwrap();
-                std::hint::black_box(&merged);
-            },
-        );
-    }
+}
+
+/// `ShardedIngest` across `shards` workers from a prototype sketch.
+fn bench_sharded<S: StreamSink + MergeableSketch + Clone + Send>(
+    bench: &mut Bench,
+    name: &str,
+    shards: usize,
+    prototype: impl FnMut() -> S,
+) {
+    let s = bench.s;
+    bench.run(name, prototype, |prototype| {
+        let merged = ShardedIngest::new(shards)
+            .with_batch_size(2048)
+            .ingest(&mut s.source(), &prototype)
+            .unwrap();
+        std::hint::black_box(&merged);
+    });
 }
 
 /// Split the coalesced CountSketch hot loop at its precompute-then-apply
@@ -246,16 +215,11 @@ fn bench_countsketch(
 /// counter matrix with branchless signed deltas — the same i64 fast path
 /// the sketch takes on small-magnitude streams.  The two halves bound the
 /// `coalesced_full` row from below (it additionally pays the coalescing
-/// sort), which `check_bench_schema` verifies.
-fn bench_stage_split(
-    results: &mut Vec<BenchResult>,
-    s: &TurnstileStream,
-    updates: usize,
-    budget: Duration,
-) {
+/// sort), which the artifact's schema checks.
+fn bench_stage_split(bench: &mut Bench) {
     const ROWS: usize = 5;
     const COLUMNS: u64 = 1024;
-    let coalesced = coalesce_updates(s.updates());
+    let coalesced = coalesce_updates(bench.s.updates());
     let keys: Vec<u64> = coalesced.iter().map(|u| u.item).collect();
     let deltas: Vec<i64> = coalesced.iter().map(|u| u.delta).collect();
     for backend in [HashBackend::Polynomial, HashBackend::Tabulation] {
@@ -265,11 +229,8 @@ fn bench_stage_split(
             .collect();
         let mut cols: Vec<u32> = Vec::new();
         let mut signs: Vec<i64> = Vec::new();
-        run(
-            results,
+        bench.run(
             &format!("countsketch/hash_stage/{b}"),
-            updates,
-            budget,
             || (),
             |()| {
                 for hasher in &hashers {
@@ -297,11 +258,8 @@ fn bench_stage_split(
                 (c, signed)
             })
             .collect();
-        run(
-            results,
+        bench.run(
             &format!("countsketch/apply_stage/{b}"),
-            updates,
-            budget,
             || vec![0.0f64; ROWS * COLUMNS as usize],
             |mut counters| {
                 for (row, (row_cols, row_deltas)) in precomputed.iter().enumerate() {
@@ -324,13 +282,8 @@ fn bench_stage_split(
 /// of the stage in the real `update_batch` hot loop).  Scratch buffers are
 /// reused across iterations exactly as `AmsScratch` reuses them, so the
 /// row measures steady-state kernel cost, not allocation.
-fn bench_ams_eval_stage(
-    results: &mut Vec<BenchResult>,
-    s: &TurnstileStream,
-    updates: usize,
-    budget: Duration,
-) {
-    let coalesced = coalesce_updates(s.updates());
+fn bench_ams_eval_stage(bench: &mut Bench) {
+    let coalesced = coalesce_updates(bench.s.updates());
     let keys: Vec<u64> = coalesced.iter().map(|u| u.item).collect();
     for family in [SignFamily::Polynomial4, SignFamily::Tabulation] {
         let bank = SignBank::from_seed(family, 0xA115_F2F2, AMS_BANK_COUNTERS);
@@ -339,11 +292,8 @@ fn bench_ams_eval_stage(
         let mut x3: Vec<u64> = Vec::new();
         let mut hv: Vec<u64> = Vec::new();
         let mut sign_bytes: Vec<u8> = Vec::new();
-        run(
-            results,
+        bench.run(
             &format!("ams/eval_stage/{}", family.name()),
-            updates,
-            budget,
             || (),
             |()| {
                 match &bank {
@@ -369,197 +319,29 @@ fn bench_ams_eval_stage(
     }
 }
 
-fn bench_gsum(
-    results: &mut Vec<BenchResult>,
-    s: &TurnstileStream,
-    updates: usize,
-    budget: Duration,
-) {
-    for backend in [HashBackend::Polynomial, HashBackend::Tabulation] {
-        let b = backend.name();
-        run(
-            results,
-            &format!("onepass_gsum/per_update/{b}"),
-            updates,
-            budget,
-            || gsum_sketch(backend),
-            |mut sk| {
-                for &u in s.iter() {
-                    sk.update(u);
-                }
-                std::hint::black_box(&sk);
-            },
-        );
-        run(
-            results,
-            &format!("onepass_gsum/batched_chunks/{b}"),
-            updates,
-            budget,
-            || gsum_sketch(backend),
-            |mut sk| {
-                for chunk in s.updates().chunks(CHUNK) {
-                    sk.update_batch(chunk);
-                }
-                std::hint::black_box(&sk);
-            },
-        );
-        run(
-            results,
-            &format!("onepass_gsum/coalesced_full/{b}"),
-            updates,
-            budget,
-            || gsum_sketch(backend),
-            |mut sk| {
-                sk.update_batch(s.updates());
-                std::hint::black_box(&sk);
-            },
-        );
-    }
-    for backend in [HashBackend::Polynomial, HashBackend::Tabulation] {
-        let b = backend.name();
-        run(
-            results,
-            &format!("onepass_gsum/sharded_2/{b}"),
-            updates,
-            budget,
-            || gsum_sketch(backend),
-            |prototype| {
-                let merged = ShardedIngest::new(2)
-                    .with_batch_size(2048)
-                    .ingest(&mut s.source(), &prototype)
-                    .unwrap();
-                std::hint::black_box(&merged);
-            },
-        );
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// The headline speedup ratios the artifact carries alongside the raw rows.
-struct Speedups {
-    coalesced_vs_per_update: f64,
-    tabulation_vs_polynomial: f64,
-    gsum_coalesced_vs_per_update: f64,
-    gsum_round4_vs_round3: f64,
-}
-
-fn write_json(
-    path: &std::path::Path,
-    results: &[BenchResult],
-    updates: usize,
-    quick: bool,
-    speedups: &Speedups,
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"bench_ingest\",\n");
-    out.push_str("  \"schema_version\": 6,\n");
-    // Provenance metadata: which commit produced these numbers, which hash
-    // backends and coalescing modes the matrix swept, how many hardware
-    // threads the host offered (sharded numbers are meaningless
-    // without it — a single-core host measures channel overhead, not
-    // speedup), and whether this was a quick smoke run — so the bench
-    // trajectory across PRs is self-describing without consulting CI logs.
-    // The backend and mode lists are collected from the recorded results,
-    // so adding or dropping a bench variant keeps the meta honest without a
-    // string literal to update.
-    let distinct = |f: fn(&BenchResult) -> &str| {
-        let mut seen: Vec<&str> = Vec::new();
-        for r in results {
-            let v = f(r);
-            if !seen.contains(&v) {
-                seen.push(v);
-            }
-        }
-        seen.iter()
-            .map(|v| format!("\"{}\"", json_escape(v)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!(
-        "    \"git_commit\": \"{}\",\n",
-        json_escape(&git_commit())
-    ));
-    out.push_str(&format!(
-        "    \"backends\": [{}],\n",
-        distinct(BenchResult::backend)
-    ));
-    out.push_str(&format!(
-        "    \"default_backend\": \"{}\",\n",
-        HashBackend::default().name()
-    ));
-    out.push_str(&format!(
-        "    \"coalescing_modes\": [{}],\n",
-        distinct(BenchResult::mode)
-    ));
-    out.push_str(&format!(
-        "    \"available_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    ));
-    out.push_str(&format!("    \"quick\": {quick}\n"));
-    out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"workload\": {{\"distribution\": \"zipf\", \"alpha\": {ZIPF_ALPHA}, \"domain\": {DOMAIN}, \"updates\": {updates}, \"chunk\": {CHUNK}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"speedup_coalesced_vs_per_update\": {:.3},\n",
-        speedups.coalesced_vs_per_update
-    ));
-    out.push_str(&format!(
-        "  \"speedup_tabulation_vs_polynomial_per_update\": {:.3},\n",
-        speedups.tabulation_vs_polynomial
-    ));
-    out.push_str(&format!(
-        "  \"speedup_gsum_coalesced_vs_per_update\": {:.3},\n",
-        speedups.gsum_coalesced_vs_per_update
-    ));
-    out.push_str(&format!(
-        "  \"speedup_gsum_round4_vs_round3\": {:.3},\n",
-        speedups.gsum_round4_vs_round3
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mode\": \"{}\", \"backend\": \"{}\", \"ns_per_iter\": {:.1}, \"updates_per_sec\": {:.1}, \"iterations\": {}}}{}\n",
-            json_escape(&r.name),
-            json_escape(r.mode()),
-            json_escape(r.backend()),
-            r.ns_per_iter,
-            r.updates_per_sec,
-            r.iterations,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
-}
-
 /// Fetch a named result; a missing name is a bug in this bench (the name
 /// tables drifted), and silently emitting NaN would corrupt the JSON
 /// artifact CI uploads — fail loudly instead.
-fn lookup(results: &[BenchResult], name: &str) -> f64 {
+fn lookup<'a>(results: &'a [BenchResult], name: &str) -> &'a BenchResult {
     results
         .iter()
         .find(|r| r.name == name)
-        .map(|r| r.ns_per_iter)
         .unwrap_or_else(|| panic!("bench result {name:?} missing — variant names drifted"))
 }
 
-/// Like [`lookup`], but returns the updates/sec rate — the unit the
-/// cross-artifact round-over-round comparison is phrased in.
-fn lookup_rate(results: &[BenchResult], name: &str) -> f64 {
-    results
-        .iter()
-        .find(|r| r.name == name)
-        .map(|r| r.updates_per_sec)
-        .unwrap_or_else(|| panic!("bench result {name:?} missing — variant names drifted"))
+/// The distinct values of one name part, in first-seen order, so the
+/// `meta` lists follow the recorded rows without a literal to update.
+fn distinct(results: &[BenchResult], part: fn(&BenchResult) -> &str) -> Vec<&str> {
+    let mut seen = Vec::new();
+    for r in results {
+        if !seen.contains(&part(r)) {
+            seen.push(part(r));
+        }
+    }
+    seen
 }
 
-fn main() {
+fn main() -> ExitCode {
     let quick = std::env::var("BENCH_INGEST_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
     let (updates, budget) = if quick {
         (20_000usize, Duration::from_millis(60))
@@ -568,40 +350,82 @@ fn main() {
     };
     let s = ZipfStreamGenerator::new(StreamConfig::new(DOMAIN, updates), ZIPF_ALPHA, 7).generate();
 
-    let mut results = Vec::new();
     println!("bench_ingest: zipf({ZIPF_ALPHA}) domain={DOMAIN} updates={updates} quick={quick}\n");
-    bench_countsketch(&mut results, &s, updates, budget);
-    bench_ams_eval_stage(&mut results, &s, updates, budget);
-    bench_gsum(&mut results, &s, updates, budget);
+    let mut bench = Bench {
+        s: &s,
+        budget,
+        results: Vec::new(),
+    };
+    bench_modes(&mut bench, "countsketch", countsketch);
+    bench_stage_split(&mut bench);
+    for shards in [2, 4] {
+        let name = format!("countsketch/sharded_{shards}/polynomial");
+        bench_sharded(&mut bench, &name, shards, || {
+            countsketch(HashBackend::Polynomial)
+        });
+    }
+    bench_ams_eval_stage(&mut bench);
+    bench_modes(&mut bench, "onepass_gsum", gsum_sketch);
+    for backend in [HashBackend::Polynomial, HashBackend::Tabulation] {
+        let name = format!("onepass_gsum/sharded_2/{}", backend.name());
+        bench_sharded(&mut bench, &name, 2, || gsum_sketch(backend));
+    }
+    let results = bench.results;
 
-    let per_update = lookup(&results, "countsketch/per_update/polynomial");
-    let coalesced = lookup(&results, "countsketch/coalesced_full/polynomial");
-    let per_update_tab = lookup(&results, "countsketch/per_update/tabulation");
-    let gsum_per_update = lookup(&results, "onepass_gsum/per_update/polynomial");
-    let gsum_coalesced = lookup(&results, "onepass_gsum/coalesced_full/polynomial");
-    let speedup = per_update / coalesced;
-    let tab_speedup = per_update / per_update_tab;
-    let gsum_speedup = gsum_per_update / gsum_coalesced;
-    let round4_speedup = lookup_rate(&results, "onepass_gsum/coalesced_full/polynomial")
-        / ROUND3_GSUM_COALESCED_UPD_PER_SEC;
+    let ns = |name| lookup(&results, name).ns_per_iter;
+    let ratio = |slow, fast| rounded(ns(slow) / ns(fast), 3);
+    let cs_per_update = "countsketch/per_update/polynomial";
+    let speedup = ratio(cs_per_update, "countsketch/coalesced_full/polynomial");
+    let tab_speedup = ratio(cs_per_update, "countsketch/per_update/tabulation");
+    let gsum_speedup = ratio(
+        "onepass_gsum/per_update/polynomial",
+        "onepass_gsum/coalesced_full/polynomial",
+    );
+    let gsum_rate = lookup(&results, "onepass_gsum/coalesced_full/polynomial").updates_per_sec;
+    let round4_speedup = rounded(gsum_rate / ROUND3_GSUM_COALESCED_UPD_PER_SEC, 3);
     println!("\ncoalesced-batched vs per-update CountSketch speedup: {speedup:.2}x");
     println!("tabulation vs polynomial per-update speedup: {tab_speedup:.2}x");
     println!("coalesced vs per-update onepass_gsum speedup: {gsum_speedup:.2}x");
     println!("onepass_gsum coalesced_full, round 4 vs round 3 artifact: {round4_speedup:.2}x");
 
-    let path = std::env::var("BENCH_INGEST_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ingest.json")
-        });
-    let speedups = Speedups {
-        coalesced_vs_per_update: speedup,
-        tabulation_vs_polynomial: tab_speedup,
-        gsum_coalesced_vs_per_update: gsum_speedup,
-        gsum_round4_vs_round3: round4_speedup,
-    };
-    match write_json(&path, &results, updates, quick, &speedups) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+    let modes = distinct(&results, BenchResult::mode);
+    Artifact {
+        schema: &INGEST,
+        quick,
+        meta: vec![
+            ("backends", distinct(&results, BenchResult::backend).into()),
+            ("default_backend", HashBackend::default().name().into()),
+            ("coalescing_modes", modes.into()),
+        ],
+        workload: vec![
+            ("distribution", "zipf".into()),
+            ("alpha", ZIPF_ALPHA.into()),
+            ("domain", DOMAIN.into()),
+            ("updates", updates.into()),
+            ("chunk", CHUNK.into()),
+        ],
+        summary: vec![
+            ("speedup_coalesced_vs_per_update", speedup.into()),
+            (
+                "speedup_tabulation_vs_polynomial_per_update",
+                tab_speedup.into(),
+            ),
+            ("speedup_gsum_coalesced_vs_per_update", gsum_speedup.into()),
+            ("speedup_gsum_round4_vs_round3", round4_speedup.into()),
+        ],
+        rows: results
+            .iter()
+            .map(|r| {
+                vec![
+                    ("name", r.name.as_str().into()),
+                    ("mode", r.mode().into()),
+                    ("backend", r.backend().into()),
+                    ("ns_per_iter", rounded(r.ns_per_iter, 1).into()),
+                    ("updates_per_sec", rounded(r.updates_per_sec, 1).into()),
+                    ("iterations", r.iterations.into()),
+                ]
+            })
+            .collect(),
     }
+    .save()
 }

@@ -26,11 +26,14 @@
 //! one core.  Compare runs only against the same `available_parallelism`
 //! (recorded in `meta`).
 //!
-//! Besides the console table, the bench writes a machine-readable
-//! `BENCH_serve.json` at the workspace root (override the path with the
-//! `BENCH_SERVE_JSON` env var) so CI can upload it and serving regressions
-//! are visible per PR.  Set `BENCH_SERVE_QUICK=1` for a fast smoke run.
+//! Besides the console table, the bench writes `BENCH_serve.json` at the
+//! workspace root (override the path with the `BENCH_SERVE_JSON` env var)
+//! so CI can gate and upload it.  Its fields, required rows and the
+//! inequalities between rows are stated once, in the
+//! `gsum_bench::artifact::SERVE` schema table.  Set `BENCH_SERVE_QUICK=1`
+//! for a fast smoke run.  The bench exits non-zero if it cannot write.
 
+use gsum_bench::artifact::{rounded, Artifact, Fields, SERVE};
 use gsum_core::GSumConfig;
 use gsum_gfunc::library::{CappedLinear, PowerFunction};
 use gsum_hash::HashBackend;
@@ -39,43 +42,13 @@ use gsum_streams::wire::encode_updates;
 use gsum_streams::{StreamConfig, StreamGenerator, ZipfStreamGenerator};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 const DOMAIN: u64 = 1 << 12;
 const ZIPF_ALPHA: f64 = 1.2;
 const WORKERS: usize = 2;
 const MAX_CONNECTIONS: usize = 64;
-
-struct BenchRow {
-    name: String,
-    kind: &'static str, // "throughput" | "latency"
-    value: f64,
-    unit: &'static str,
-    samples: u64,
-}
-
-/// The git commit the bench ran against (same resolution order as
-/// `bench_ingest`): `BENCH_GIT_COMMIT` / `GITHUB_SHA`, then `git
-/// rev-parse HEAD`, then `"unknown"`.
-fn git_commit() -> String {
-    for var in ["BENCH_GIT_COMMIT", "GITHUB_SHA"] {
-        if let Ok(sha) = std::env::var(var) {
-            if !sha.is_empty() {
-                return sha;
-            }
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|sha| sha.trim().to_string())
-        .filter(|sha| !sha.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
 
 /// The served state: a registry with two G functions over one shared
 /// substrate, so the named-estimator rows measure the registry path and
@@ -159,16 +132,21 @@ fn encode_workload(updates: usize, seed: u64) -> Vec<u8> {
     encode_updates(DOMAIN, stream.updates()).expect("encode")
 }
 
-fn record(rows: &mut Vec<BenchRow>, row: BenchRow) {
-    println!(
-        "{:<44} {:>14.1} {:<7} ({} samples)",
-        row.name, row.value, row.unit, row.samples
-    );
-    rows.push(row);
+/// Print one result row and add it to the artifact's rows.  `kind` is
+/// `"throughput"` or `"latency"`.
+fn record(rows: &mut Vec<Fields>, name: String, kind: &str, value: f64, unit: &str, samples: u64) {
+    println!("{name:<44} {value:>14.1} {unit:<7} ({samples} samples)");
+    rows.push(vec![
+        ("name", name.into()),
+        ("kind", kind.into()),
+        ("value", rounded(value, 2).into()),
+        ("unit", unit.into()),
+        ("samples", samples.into()),
+    ]);
 }
 
 /// Sequential connect → `COUNT` → close churn.
-fn bench_connections(rows: &mut Vec<BenchRow>, connections: u64) {
+fn bench_connections(rows: &mut Vec<Fields>, connections: u64) {
     let elapsed = with_server(|addr| {
         let start = Instant::now();
         for _ in 0..connections {
@@ -179,21 +157,14 @@ fn bench_connections(rows: &mut Vec<BenchRow>, connections: u64) {
         }
         start.elapsed()
     });
-    record(
-        rows,
-        BenchRow {
-            name: "serve/connections_per_sec".into(),
-            kind: "throughput",
-            value: connections as f64 / elapsed.as_secs_f64(),
-            unit: "conn/s",
-            samples: connections,
-        },
-    );
+    let name = "serve/connections_per_sec".to_string();
+    let rate = connections as f64 / elapsed.as_secs_f64();
+    record(rows, name, "throughput", rate, "conn/s", connections);
 }
 
 /// `clients` concurrent framed streams to completion, averaged over
 /// `iterations` rounds against one server.
-fn bench_ingest(rows: &mut Vec<BenchRow>, clients: usize, updates: usize, iterations: u64) {
+fn bench_ingest(rows: &mut Vec<Fields>, clients: usize, updates: usize, iterations: u64) {
     let workloads: Vec<Vec<u8>> = (0..clients)
         .map(|c| encode_workload(updates, 7 + c as u64))
         .collect();
@@ -215,16 +186,9 @@ fn bench_ingest(rows: &mut Vec<BenchRow>, clients: usize, updates: usize, iterat
         }
     });
     let streamed = (clients * updates) as u64 * iterations;
-    record(
-        rows,
-        BenchRow {
-            name: format!("serve/ingest_updates_per_sec/clients_{clients}"),
-            kind: "throughput",
-            value: streamed as f64 / total.as_secs_f64(),
-            unit: "upd/s",
-            samples: streamed,
-        },
-    );
+    let name = format!("serve/ingest_updates_per_sec/clients_{clients}");
+    let rate = streamed as f64 / total.as_secs_f64();
+    record(rows, name, "throughput", rate, "upd/s", streamed);
 }
 
 fn percentile(sorted_us: &[f64], p: f64) -> f64 {
@@ -235,7 +199,7 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
 /// Query latency percentiles over one persistent connection, against a
 /// server that has already ingested a workload (so `EST` answers from
 /// non-trivial state).
-fn bench_query_latency(rows: &mut Vec<BenchRow>, warm_updates: usize, queries: usize) {
+fn bench_query_latency(rows: &mut Vec<Fields>, warm_updates: usize, queries: usize) {
     // Each probe is (command line, latency family, row suffix): the bare
     // queries keep their v1 row names, and every registered function adds
     // `EST <function>` probes whose rows carry the name as a suffix.
@@ -271,85 +235,20 @@ fn bench_query_latency(rows: &mut Vec<BenchRow>, warm_updates: usize, queries: u
     });
     for ((_, family, suffix), us) in probes.iter().zip(&samples) {
         for (p, label) in [(0.5, "p50"), (0.99, "p99")] {
+            let name = format!("serve/{family}_latency_{label}{suffix}");
             record(
                 rows,
-                BenchRow {
-                    name: format!("serve/{family}_latency_{label}{suffix}"),
-                    kind: "latency",
-                    value: percentile(us, p),
-                    unit: "us",
-                    samples: us.len() as u64,
-                },
+                name,
+                "latency",
+                percentile(us, p),
+                "us",
+                us.len() as u64,
             );
         }
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &std::path::Path,
-    rows: &[BenchRow],
-    quick: bool,
-    connections: u64,
-    updates_per_client: usize,
-    queries: usize,
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"bench_serve\",\n");
-    out.push_str("  \"schema_version\": 2,\n");
-    // Provenance: commit, reactor topology (worker-pool size and the
-    // connection cap the shed path enforces), the registered estimator
-    // names (v2 — the per-function latency rows are unreadable without
-    // them), host parallelism (the single-core caveat above — these
-    // numbers are uninterpretable without it), and whether this was a
-    // quick smoke run.
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!(
-        "    \"git_commit\": \"{}\",\n",
-        json_escape(&git_commit())
-    ));
-    out.push_str(&format!("    \"workers\": {WORKERS},\n"));
-    out.push_str(&format!("    \"max_connections\": {MAX_CONNECTIONS},\n"));
-    out.push_str("    \"policy\": \"merge_completed\",\n");
-    out.push_str(&format!(
-        "    \"functions\": [{}],\n",
-        function_names()
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "    \"available_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    ));
-    out.push_str(&format!("    \"quick\": {quick}\n"));
-    out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"workload\": {{\"distribution\": \"zipf\", \"alpha\": {ZIPF_ALPHA}, \"domain\": {DOMAIN}, \"updates_per_client\": {updates_per_client}, \"connections\": {connections}, \"query_samples\": {queries}}},\n"
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"kind\": \"{}\", \"value\": {:.2}, \"unit\": \"{}\", \"samples\": {}}}{}\n",
-            json_escape(&r.name),
-            r.kind,
-            r.value,
-            r.unit,
-            r.samples,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
-}
-
-fn main() {
+fn main() -> ExitCode {
     let quick = std::env::var("BENCH_SERVE_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
     let (connections, updates, iterations, queries) = if quick {
         (200u64, 10_000usize, 2u64, 300usize)
@@ -368,13 +267,25 @@ fn main() {
     }
     bench_query_latency(&mut rows, updates, queries);
 
-    let path = std::env::var("BENCH_SERVE_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
-        });
-    match write_json(&path, &rows, quick, connections, updates, queries) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+    Artifact {
+        schema: &SERVE,
+        quick,
+        meta: vec![
+            ("workers", WORKERS.into()),
+            ("max_connections", MAX_CONNECTIONS.into()),
+            ("policy", "merge_completed".into()),
+            ("functions", function_names().into()),
+        ],
+        workload: vec![
+            ("distribution", "zipf".into()),
+            ("alpha", ZIPF_ALPHA.into()),
+            ("domain", DOMAIN.into()),
+            ("updates_per_client", updates.into()),
+            ("connections", connections.into()),
+            ("query_samples", queries.into()),
+        ],
+        summary: Vec::new(),
+        rows,
     }
+    .save()
 }

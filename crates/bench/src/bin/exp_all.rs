@@ -5,7 +5,8 @@
 //! cargo run --release -p gsum-bench --bin exp_all -- E4 E6   # a subset
 //! ```
 //!
-//! The output of this binary is what `EXPERIMENTS.md` records.
+//! Its output is the experiment record: each `exp_e*` binary prints one of
+//! these tables.
 
 fn main() {
     let filters: Vec<String> = std::env::args().skip(1).map(|s| s.to_uppercase()).collect();

@@ -1,4 +1,4 @@
-//! Experiment E1 table emitter (see EXPERIMENTS.md). Prints Markdown to stdout.
+//! Experiment E1 table emitter (one of the tables `exp_all` prints). Prints Markdown to stdout.
 
 fn main() {
     println!(

@@ -1,4 +1,4 @@
-//! Experiment E7 table emitter (see EXPERIMENTS.md). Prints Markdown to stdout.
+//! Experiment E7 table emitter (one of the tables `exp_all` prints). Prints Markdown to stdout.
 
 fn main() {
     println!("{}", gsum_bench::e7_mle(2_000, 3).to_markdown());

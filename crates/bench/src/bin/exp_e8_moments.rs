@@ -1,4 +1,4 @@
-//! Experiment E8 table emitter (see EXPERIMENTS.md). Prints Markdown to stdout.
+//! Experiment E8 table emitter (one of the tables `exp_all` prints). Prints Markdown to stdout.
 
 fn main() {
     println!(

@@ -1,4 +1,4 @@
-//! The experiment suite E1–E10 (see `DESIGN.md` §6 and `EXPERIMENTS.md`).
+//! The experiment suite E1–E10 (run them all with the `exp_all` binary).
 //!
 //! Each function is deterministic given its arguments and returns an
 //! [`ExperimentTable`] ready for Markdown rendering.  The default parameters
@@ -629,7 +629,7 @@ mod tests {
     use super::*;
 
     // Keep the unit tests cheap: they check shape and headline direction on
-    // reduced parameters; the full-scale numbers live in EXPERIMENTS.md.
+    // reduced parameters; the full-scale numbers are what `exp_all` prints.
 
     #[test]
     fn e1_table_matches_ground_truth_on_fast_window() {

@@ -1,15 +1,16 @@
-//! A minimal JSON parser for validating bench artifacts.
+//! A minimal JSON parser and writer for the bench artifacts.
 //!
 //! The workspace builds offline (no serde), but CI needs to *gate* on the
-//! structure of `BENCH_ingest.json` — a malformed or schema-drifted artifact
+//! structure of the bench artifacts — a malformed or schema-drifted artifact
 //! must fail the build, not get silently uploaded.  This module implements
-//! just enough of RFC 8259 to parse the bench writer's output: objects,
-//! arrays, strings with the standard escapes, numbers, booleans and null.
-//! It is a validator's parser — strict on structure, with byte-offset error
-//! reporting — not a general-purpose JSON library.
+//! just enough of RFC 8259 for that: objects, arrays, strings with the
+//! standard escapes, numbers, booleans and null.  The parser is a
+//! validator's parser — strict on structure, with byte-offset error
+//! reporting — and the writer ([`JsonValue`]'s `Display`) escapes every
+//! control character, so whatever it writes the parser reads back unchanged.
+//! It is not a general-purpose JSON library.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,17 +26,24 @@ pub enum JsonValue {
     String(String),
     /// An array.
     Array(Vec<JsonValue>),
-    /// An object.  Key order is not preserved (schema validation does not
-    /// depend on it); duplicate keys keep the last value, as most parsers
-    /// do.
-    Object(BTreeMap<String, JsonValue>),
+    /// An object, in document order.  On duplicate keys [`JsonValue::get`]
+    /// returns the last value, as most parsers do.
+    Object(Vec<(String, JsonValue)>),
 }
 
 impl JsonValue {
+    /// An object with these fields, in this order.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> Self {
+        let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+        JsonValue::Object(fields.collect())
+    }
+
     /// The value at an object key, if this is an object that has it.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Object(map) => map.get(key),
+            JsonValue::Object(fields) => {
+                fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+            }
             _ => None,
         }
     }
@@ -56,14 +64,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
@@ -71,6 +71,94 @@ impl JsonValue {
             _ => None,
         }
     }
+}
+
+macro_rules! json_from {
+    ($($t:ty => |$v:ident| $value:expr),* $(,)?) => {$(
+        impl From<$t> for JsonValue {
+            fn from($v: $t) -> Self {
+                $value
+            }
+        }
+    )*};
+}
+json_from!(
+    &str => |s| JsonValue::String(s.to_string()),
+    String => |s| JsonValue::String(s),
+    bool => |b| JsonValue::Bool(b),
+    f64 => |n| JsonValue::Number(n),
+    u32 => |n| JsonValue::Number(n.into()),
+    u64 => |n| JsonValue::Number(n as f64),
+    usize => |n| JsonValue::Number(n as f64),
+);
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> Self {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Writes the value as JSON.  A container that holds another container
+/// puts one entry per line; a container of scalars stays on one line, so an
+/// artifact reads as one line per result row.  Non-finite numbers, which
+/// JSON cannot carry, are written as `null`.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+impl JsonValue {
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let entries: Vec<(Option<&String>, &JsonValue)> = match self {
+            JsonValue::Array(items) => items.iter().map(|v| (None, v)).collect(),
+            JsonValue::Object(fields) => fields.iter().map(|(k, v)| (Some(k), v)).collect(),
+            JsonValue::String(s) => return write_string(f, s),
+            JsonValue::Number(n) if n.is_finite() => return write!(f, "{n}"),
+            JsonValue::Bool(b) => return write!(f, "{b}"),
+            JsonValue::Number(_) | JsonValue::Null => return f.write_str("null"),
+        };
+        let (open, close) = match self {
+            JsonValue::Array(_) => ('[', ']'),
+            _ => ('{', '}'),
+        };
+        let nested = entries
+            .iter()
+            .any(|(_, v)| matches!(v, JsonValue::Array(_) | JsonValue::Object(_)));
+        let comma = if nested { "," } else { ", " };
+        let pad = |depth: usize| match nested {
+            true => format!("\n{}", "  ".repeat(depth)),
+            false => String::new(),
+        };
+        f.write_char(open)?;
+        for (i, (key, value)) in entries.into_iter().enumerate() {
+            write!(f, "{}{}", if i == 0 { "" } else { comma }, pad(depth + 1))?;
+            if let Some(key) = key {
+                write_string(f, key)?;
+                f.write_str(": ")?;
+            }
+            value.write(f, depth + 1)?;
+        }
+        write!(f, "{}{close}", pad(depth))
+    }
+}
+
+/// A string literal escaped per RFC 8259: quote, backslash and every
+/// control character below U+0020.
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if c < ' ' => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
 }
 
 /// A JSON syntax error with the byte offset it was detected at.
@@ -164,55 +252,50 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// `open`, then `item`s separated by commas, then `close`.
+    fn sequence(
+        &mut self,
+        (open, close): (u8, u8),
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(JsonValue::Object(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(map));
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+                _ => return Err(self.err(format!("expected ',' or {:?}", close as char))),
             }
         }
     }
 
+    fn object(&mut self) -> Result<JsonValue, JsonError> {
+        let mut fields = Vec::new();
+        self.sequence((b'{', b'}'), |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            fields.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(fields))
+    }
+
     fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
+        self.sequence((b'[', b']'), |p| p.value().map(|v| items.push(v)))?;
+        Ok(JsonValue::Array(items))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -259,6 +342,7 @@ impl Parser<'_> {
                         }
                     }
                 }
+                Some(0..=0x1F) => return Err(self.err("unescaped control character in string")),
                 Some(_) => {
                     // Consume one UTF-8 scalar (input is a &str, so byte
                     // boundaries are valid).
@@ -325,10 +409,8 @@ mod tests {
             Some(2.0)
         );
         assert_eq!(
-            v.get("meta")
-                .and_then(|m| m.get("quick"))
-                .and_then(JsonValue::as_bool),
-            Some(false)
+            v.get("meta").and_then(|m| m.get("quick")),
+            Some(&JsonValue::Bool(false))
         );
         let results = v.get("results").and_then(JsonValue::as_array).unwrap();
         assert_eq!(
@@ -375,6 +457,33 @@ mod tests {
             let err = parse_json(bad).unwrap_err();
             assert!(!err.message.is_empty(), "{bad:?} must fail: {err}");
         }
+    }
+
+    #[test]
+    fn written_strings_parse_back_unchanged() {
+        let name = "x^2\n\t\"quoted\" back\\slash \u{1}\u{1f}";
+        let doc = JsonValue::object([("functions", vec![name].into()), ("n", 2.5.into())]);
+        assert_eq!(parse_json(&doc.to_string()), Ok(doc));
+        // Escaping only `\` and `"` leaves raw control characters, which
+        // RFC 8259 forbids inside a string.
+        assert!(parse_json("\"x^2\n\"").is_err());
+    }
+
+    #[test]
+    fn containers_of_containers_break_across_lines() {
+        let row = JsonValue::object([("name", "a/b".into()), ("n", 3u64.into())]);
+        let doc = JsonValue::object([
+            ("bench", "b".into()),
+            ("meta", JsonValue::object([("list", vec!["p"].into())])),
+            ("results", JsonValue::Array(vec![row])),
+            ("empty", JsonValue::Array(Vec::new())),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            "{\n  \"bench\": \"b\",\n  \"meta\": {\n    \"list\": [\"p\"]\n  },\n  \
+             \"results\": [\n    {\"name\": \"a/b\", \"n\": 3}\n  ],\n  \"empty\": []\n}"
+        );
+        assert_eq!(JsonValue::Number(f64::NAN).to_string(), "null");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! # gsum-bench
 //!
-//! The experiment harness: every experiment E1–E10 of `DESIGN.md` /
-//! `EXPERIMENTS.md` is a function in this crate returning a
-//! machine-readable [`ExperimentTable`]; the `exp_*` binaries print the
-//! tables as Markdown (which is pasted into `EXPERIMENTS.md`), and the
-//! Criterion benches under `benches/` measure the throughput of the
-//! underlying data structures.
+//! The experiment harness: every experiment E1–E10 is a function in this
+//! crate returning a machine-readable [`ExperimentTable`]; the `exp_*`
+//! binaries print the tables as Markdown (`exp_all` prints every one, and
+//! its output is the experiment record), and the benches under `benches/`
+//! measure the throughput of the underlying data structures.  The
+//! throughput benches' JSON artifacts are written and gated by
+//! [`artifact`].
 //!
 //! The paper itself has no measured tables or figures (it is a theory
 //! paper), so the experiment suite is designed to check each *claim*:
@@ -14,6 +15,7 @@
 //! lower-bound reduction streams, the nearly periodic special case, the
 //! ShortLinearCombination threshold, and the §1.1 applications.
 
+pub mod artifact;
 pub mod experiments;
 pub mod json;
 pub mod table;

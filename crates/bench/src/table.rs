@@ -1,5 +1,7 @@
 //! A small table type shared by all experiments: serializable (for archival)
-//! and Markdown-renderable (for EXPERIMENTS.md).
+//! and Markdown-renderable (what the `exp_*` binaries print).
+
+use crate::json::JsonValue;
 
 /// A titled table of string cells.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,53 +65,16 @@ impl ExperimentTable {
     }
 
     /// Render as a JSON string (for archival alongside the Markdown).
-    /// Serialization is hand-rolled — the build environment has no network
-    /// access, so `serde_json` is not available.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_string(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
-        out.push_str(&format!("  \"claim\": {},\n", json_string(&self.claim)));
-        out.push_str(&format!(
-            "  \"headers\": [{}],\n",
-            self.headers
-                .iter()
-                .map(|h| json_string(h))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let cells = row
-                .iter()
-                .map(|c| json_string(c))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            out.push_str(&format!("    [{cells}]{comma}\n"));
-        }
-        out.push_str("  ]\n}");
-        out
+        JsonValue::object([
+            ("id", self.id.as_str().into()),
+            ("title", self.title.as_str().into()),
+            ("claim", self.claim.as_str().into()),
+            ("headers", self.headers.clone().into()),
+            ("rows", self.rows.clone().into()),
+        ])
+        .to_string()
     }
-}
-
-/// Escape a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Format a float with three significant-ish decimals for table cells.

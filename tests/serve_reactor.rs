@@ -33,6 +33,10 @@ use zerolaw::streams::wire::encode_updates;
 const DOMAIN: u64 = 64;
 const BACKENDS: [HashBackend; 2] = [HashBackend::Polynomial, HashBackend::Tabulation];
 const POLICIES: [ServePolicy; 2] = [ServePolicy::DiscardPartial, ServePolicy::MergeCompleted];
+/// The item the tests' streams make heavy.  On flat streams this config
+/// estimates 0.0, so an `EST` bit comparison would show nothing; with one
+/// heavy item the estimate is non-zero and moves with the ingested state.
+const HEAVY: u64 = 5;
 
 fn proto(backend: HashBackend) -> OnePassGSumSketch<PowerFunction> {
     let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 11).with_hash_backend(backend);
@@ -71,14 +75,20 @@ fn kept(updates: &[Update], cut: Option<usize>, policy: ServePolicy) -> &[Update
 type ClientSpec = (Vec<Update>, Option<usize>);
 type RawClient = (Vec<(u64, i64)>, u64, u64);
 
+/// The generated clients, in order, then one complete client that streams
+/// only [`HEAVY`]: whatever the cuts and the policy discard, the kept
+/// state has a heavy item, so `EST` answers from a non-zero estimate.
 fn client_specs(raw: &[RawClient]) -> Vec<ClientSpec> {
-    raw.iter()
+    let mut specs: Vec<ClientSpec> = raw
+        .iter()
         .map(|(pairs, fail_die, cut_frac)| {
             let updates: Vec<Update> = pairs.iter().map(|&(i, d)| Update::new(i, d)).collect();
             let cut = (fail_die % 3 == 0).then(|| (*cut_frac as usize * updates.len()) / 10_000);
             (updates, cut)
         })
-        .collect()
+        .collect();
+    specs.push(((1..=32).map(|d| Update::new(HEAVY, d)).collect(), None));
+    specs
 }
 
 /// Single-threaded reference: one sketch absorbing every client's kept
@@ -211,6 +221,11 @@ proptest! {
             for policy in POLICIES {
                 let (single, expect_durable) = reference(&specs, policy, backend);
                 let expect_bytes = single.to_checkpoint_bytes().expect("save reference");
+                prop_assert!(
+                    single.estimate() > 0.0,
+                    "{:?}/{:?}: a zero reference estimate makes the EST check vacuous",
+                    policy, backend
+                );
 
                 let sheds = Arc::new(AtomicU64::new(0));
                 let sheds_in_observer = Arc::clone(&sheds);
@@ -374,11 +389,20 @@ fn command_split_across_readiness_events_parses_whole() {
 /// same acknowledged stream as one contiguous write.
 #[test]
 fn wire_stream_split_mid_frame_decodes_whole() {
-    let updates: Vec<Update> = (0..50u64)
-        .map(|i| Update::new(i % DOMAIN, 3 - i as i64))
+    // Every other update hits the heavy item, so the estimate is non-zero.
+    let updates: Vec<Update> = (0..100u64)
+        .map(|i| match i % 2 {
+            0 => Update::new(HEAVY, 7 + (i % 5) as i64),
+            _ => Update::new(i % DOMAIN, 3 - (i / 2) as i64),
+        })
         .collect();
+    let mut single = proto(HashBackend::Polynomial);
+    for &u in &updates {
+        single.update(u);
+    }
+    assert!(single.estimate() > 0.0, "a degenerate stream");
     let bytes = encode_client(&updates, None);
-    let (verdict, summary, server) = with_server(ServeConfig::new(), |addr| {
+    let ((verdict, (est_bits, count)), summary, server) = with_server(ServeConfig::new(), |addr| {
         let mut stream = TcpStream::connect(addr).expect("connect");
         for chunk in bytes.chunks(7) {
             stream.write_all(chunk).expect("chunk");
@@ -390,19 +414,25 @@ fn wire_stream_split_mid_frame_decodes_whole() {
             .expect("read");
         let verdict = Response::parse(&line).expect("parse");
         drop(stream);
-        query_and_quit(addr);
-        verdict
+        (verdict, query_and_quit(addr))
     });
     assert_eq!(verdict, Response::Ok(updates.len() as u64));
+    assert_eq!(count, updates.len() as u64);
+    assert_eq!(est_bits, single.estimate().to_bits(), "EST over the socket");
     assert!(summary.clean_shutdown);
-    let mut single = proto(HashBackend::Polynomial);
-    for &u in &updates {
-        single.update(u);
-    }
     assert_eq!(
         server.estimate().to_bits(),
         single.estimate().to_bits(),
         "dribbled ingest must land on the single-shot state"
+    );
+    assert_eq!(
+        server
+            .coordinator()
+            .snapshot()
+            .expect("snapshot")
+            .state_bytes(),
+        single.to_checkpoint_bytes().expect("save").as_slice(),
+        "dribbled ingest must land on the single-shot state bit for bit"
     );
 }
 
@@ -716,7 +746,7 @@ fn restart_from_a_mid_stream_envelope_replays_to_the_uninterrupted_state() {
     let updates: Vec<Update> = (0..TOTAL as u64)
         .map(|i| {
             let item = if i % 2 == 0 {
-                5
+                HEAVY
             } else {
                 (i * 7 + i / 5) % DOMAIN
             };
