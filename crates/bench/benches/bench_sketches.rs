@@ -1,8 +1,8 @@
-//! Throughput of the sketch substrates: CountSketch / Count-Min / AMS updates
+//! Throughput of the sketch substrates: CountSketch / AMS updates
 //! and CountSketch heavy-hitter extraction.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use gsum_sketch::{AmsF2Sketch, CountMinSketch, CountSketch, CountSketchConfig, StreamSink};
+use gsum_sketch::{AmsF2Sketch, CountSketch, CountSketchConfig, StreamSink};
 use gsum_streams::{StreamConfig, StreamGenerator, ZipfStreamGenerator};
 
 fn stream() -> gsum_streams::TurnstileStream {
@@ -16,13 +16,6 @@ fn bench_updates(c: &mut Criterion) {
         b.iter_batched(
             || CountSketch::new(CountSketchConfig::new(5, 1024), 3),
             |mut cs| cs.process_stream(&s),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("countmin_5x1024", |b| {
-        b.iter_batched(
-            || CountMinSketch::new(5, 1024, 3),
-            |mut cm| cm.process_stream(&s),
             BatchSize::SmallInput,
         )
     });

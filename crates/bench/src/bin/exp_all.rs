@@ -1,18 +1,28 @@
-//! Run the full experiment suite (E1–E10) and print every table as Markdown.
+//! Run the experiment suite (E1–E10) and print each table as Markdown.
 //!
 //! ```text
 //! cargo run --release -p gsum-bench --bin exp_all            # all experiments
-//! cargo run --release -p gsum-bench --bin exp_all -- E4 E6   # a subset
+//! cargo run --release -p gsum-bench --bin exp_all -- E4 e6   # a subset
 //! ```
 //!
-//! Its output is the experiment record: each `exp_e*` binary prints one of
-//! these tables.
+//! Ids are case-insensitive.  Only the selected experiments run, in suite
+//! order; an unknown id runs nothing and exits non-zero with the valid ids.
+//! Its output is the experiment record.
 
-fn main() {
-    let filters: Vec<String> = std::env::args().skip(1).map(|s| s.to_uppercase()).collect();
-    for table in gsum_bench::run_all() {
-        if filters.is_empty() || filters.iter().any(|f| f == &table.id) {
-            println!("{}", table.to_markdown());
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    match gsum_bench::select_experiments(&ids) {
+        Ok(selected) => {
+            for (_, run) in selected {
+                println!("{}", run().to_markdown());
+            }
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("exp_all: {e}");
+            ExitCode::FAILURE
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The experiment suite E1–E10 (run them all with the `exp_all` binary).
+//! The experiment suite E1–E10 (run any of them with the `exp_all` binary).
 //!
 //! Each function is deterministic given its arguments and returns an
 //! [`ExperimentTable`] ready for Markdown rendering.  The default parameters
@@ -608,20 +608,43 @@ pub fn e10_applications(trials: usize) -> ExperimentTable {
     table
 }
 
-/// Run the full suite with default (laptop-scale) parameters.
-pub fn run_all() -> Vec<ExperimentTable> {
-    vec![
-        e1_classification(&PropertyConfig::default()),
-        e2_one_pass_accuracy(1 << 10, 30_000, 3),
-        e3_two_pass_separation(3),
-        e4_lower_bounds(20),
-        e5_nearly_periodic(5),
-        e6_shortlinear(20),
-        e7_mle(2_000, 3),
-        e8_moments(1 << 10, 30_000, 3),
-        e9_recursive_ablation(1 << 10, 30_000, 3),
-        e10_applications(3),
-    ]
+/// One experiment of the suite: its id and a run with the default
+/// (laptop-scale) parameters.
+pub type Experiment = (&'static str, fn() -> ExperimentTable);
+
+/// The full suite, in order.
+pub const EXPERIMENTS: [Experiment; 10] = [
+    ("E1", || e1_classification(&PropertyConfig::default())),
+    ("E2", || e2_one_pass_accuracy(1 << 10, 30_000, 3)),
+    ("E3", || e3_two_pass_separation(3)),
+    ("E4", || e4_lower_bounds(20)),
+    ("E5", || e5_nearly_periodic(5)),
+    ("E6", || e6_shortlinear(20)),
+    ("E7", || e7_mle(2_000, 3)),
+    ("E8", || e8_moments(1 << 10, 30_000, 3)),
+    ("E9", || e9_recursive_ablation(1 << 10, 30_000, 3)),
+    ("E10", || e10_applications(3)),
+];
+
+/// The experiments named by `ids` (case-insensitive), in suite order; the
+/// whole suite when `ids` is empty.  An unknown id is an error that lists
+/// the valid ones.  Nothing runs here: the caller runs what it gets.
+pub fn select_experiments(ids: &[String]) -> Result<Vec<Experiment>, String> {
+    let wanted: Vec<String> = ids.iter().map(|id| id.to_uppercase()).collect();
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|id| !EXPERIMENTS.iter().any(|(known, _)| known == id))
+    {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        return Err(format!(
+            "unknown experiment {unknown}; valid ids: {}",
+            valid.join(" ")
+        ));
+    }
+    Ok(EXPERIMENTS
+        .into_iter()
+        .filter(|(id, _)| wanted.is_empty() || wanted.iter().any(|w| w == id))
+        .collect())
 }
 
 #[cfg(test)]
@@ -630,6 +653,22 @@ mod tests {
 
     // Keep the unit tests cheap: they check shape and headline direction on
     // reduced parameters; the full-scale numbers are what `exp_all` prints.
+
+    #[test]
+    fn selection_is_case_insensitive_and_rejects_unknown_ids() {
+        let ids = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let picked = select_experiments(&ids(&["e4"])).unwrap();
+        assert_eq!(picked.len(), 1);
+        assert_eq!(picked[0].0, "E4");
+        let picked = select_experiments(&ids(&["E6", "e4"])).unwrap();
+        assert_eq!(
+            picked.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            ["E4", "E6"]
+        );
+        assert_eq!(select_experiments(&[]).unwrap().len(), EXPERIMENTS.len());
+        let err = select_experiments(&ids(&["E4", "E11"])).unwrap_err();
+        assert!(err.contains("E11") && err.contains("E1 E2"), "{err}");
+    }
 
     #[test]
     fn e1_table_matches_ground_truth_on_fast_window() {

@@ -1,9 +1,10 @@
 //! # gsum-bench
 //!
 //! The experiment harness: every experiment E1–E10 is a function in this
-//! crate returning a machine-readable [`ExperimentTable`]; the `exp_*`
-//! binaries print the tables as Markdown (`exp_all` prints every one, and
-//! its output is the experiment record), and the benches under `benches/`
+//! crate returning an [`ExperimentTable`], listed with its default
+//! parameters in [`EXPERIMENTS`]; the `exp_all` binary prints the selected
+//! tables as Markdown (all of them by default, and its output is the
+//! experiment record), and the benches under `benches/`
 //! measure the throughput of the underlying data structures.  The
 //! throughput benches' JSON artifacts are written and gated by
 //! [`artifact`].

@@ -1,7 +1,5 @@
-//! A small table type shared by all experiments: serializable (for archival)
-//! and Markdown-renderable (what the `exp_*` binaries print).
-
-use crate::json::JsonValue;
+//! A small table type shared by all experiments, rendered as the Markdown
+//! that `exp_all` prints.
 
 /// A titled table of string cells.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,18 +61,6 @@ impl ExperimentTable {
         }
         out
     }
-
-    /// Render as a JSON string (for archival alongside the Markdown).
-    pub fn to_json(&self) -> String {
-        JsonValue::object([
-            ("id", self.id.as_str().into()),
-            ("title", self.title.as_str().into()),
-            ("claim", self.claim.as_str().into()),
-            ("headers", self.headers.clone().into()),
-            ("rows", self.rows.clone().into()),
-        ])
-        .to_string()
-    }
 }
 
 /// Format a float with three significant-ish decimals for table cells.
@@ -103,17 +89,6 @@ mod tests {
         assert!(md.contains("| x | y |"));
         assert!(md.contains("| 1 | 2 |"));
         assert!(md.contains("a claim"));
-    }
-
-    #[test]
-    fn json_contains_fields_and_escapes() {
-        let mut t = ExperimentTable::new("E1", "de\"mo", "claim", vec!["c"]);
-        t.push_row(vec!["v\n".into()]);
-        let json = t.to_json();
-        assert!(json.contains("\"id\": \"E1\""));
-        assert!(json.contains("de\\\"mo"));
-        assert!(json.contains("v\\n"));
-        assert!(json.contains("\"headers\": [\"c\"]"));
     }
 
     #[test]

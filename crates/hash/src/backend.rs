@@ -141,45 +141,21 @@ impl RowHasher {
         self.seed
     }
 
-    /// The raw hash value and the width (in bits) of its uniform range:
-    /// 61 for the polynomial field `[0, 2^61 − 1)`, 64 for tabulation.
-    #[inline]
-    fn raw(&self, key: u64) -> (u64, u32) {
-        match &self.state {
-            RowState::Polynomial(h) => (h.hash(key), 61),
-            RowState::Tabulation(h) => (h.hash(key), 64),
-        }
-    }
-
-    #[inline]
-    fn reduce(&self, value: u64, bits: u32) -> u64 {
-        (((value as u128) * (self.columns as u128)) >> bits) as u64
-    }
-
-    /// The row's bucket for a key, in `[0, columns)` — division-free.
-    #[inline]
-    pub fn column(&self, key: u64) -> u64 {
-        let (value, bits) = self.raw(key);
-        self.reduce(value, bits)
-    }
-
-    /// The row's sign for a key: `+1` or `−1`.
-    #[inline]
-    pub fn sign(&self, key: u64) -> i64 {
-        let (value, _) = self.raw(key);
-        if value & 1 == 1 {
-            1
-        } else {
-            -1
-        }
-    }
-
     /// Fused evaluation: `(column, sign)` for a key from one hash pass.
+    /// The column lies in `[0, columns)` and is reduced division-free.
     #[inline]
     pub fn column_sign(&self, key: u64) -> (u64, i64) {
-        let (value, bits) = self.raw(key);
+        // The raw hash value and the width (in bits) of its uniform range:
+        // 61 for the polynomial field `[0, 2^61 − 1)`, 64 for tabulation.
+        let (value, bits) = match &self.state {
+            RowState::Polynomial(h) => (h.hash(key), 61),
+            RowState::Tabulation(h) => (h.hash(key), 64),
+        };
         let sign = if value & 1 == 1 { 1 } else { -1 };
-        (self.reduce(value, bits), sign)
+        (
+            ((value as u128 * self.columns as u128) >> bits) as u64,
+            sign,
+        )
     }
 
     /// Batched fused evaluation: `(column, sign)` for every key in a slice,
@@ -262,53 +238,6 @@ impl RowHasher {
         }
     }
 
-    /// Batched bucket-only evaluation: the column for every key in a slice,
-    /// appended to `cols_out` (cleared first).  The Count-Min variant of
-    /// [`column_sign_batch`](Self::column_sign_batch) — same kernels, no
-    /// sign extraction — and likewise bit-identical to per-key
-    /// [`column`](Self::column).
-    pub fn column_batch(&self, keys: &[u64], cols_out: &mut Vec<u32>) {
-        debug_assert!(self.columns <= u32::MAX as u64 + 1);
-        cols_out.clear();
-        cols_out.reserve(keys.len());
-        let columns = self.columns as u128;
-        match &self.state {
-            RowState::Polynomial(h) => {
-                if let [c0, c1, c2, c3] = *h.coefficients() {
-                    for &key in keys {
-                        let x = reduce(key);
-                        let x2 = mul(x, x);
-                        let x3 = mul(x2, x);
-                        let value = reduce128(
-                            (c3 as u128) * (x3 as u128)
-                                + (c2 as u128) * (x2 as u128)
-                                + (c1 as u128) * (x as u128)
-                                + c0 as u128,
-                        );
-                        cols_out.push((((value as u128) * columns) >> 61) as u32);
-                    }
-                } else {
-                    for &key in keys {
-                        cols_out.push((((h.hash(key) as u128) * columns) >> 61) as u32);
-                    }
-                }
-            }
-            RowState::Tabulation(h) => {
-                let mut chunks = keys.chunks_exact(TAB_BLOCK);
-                for block in chunks.by_ref() {
-                    let mut values = [0u64; TAB_BLOCK];
-                    h.hash_into(block, &mut values);
-                    for &value in &values {
-                        cols_out.push((((value as u128) * columns) >> 64) as u32);
-                    }
-                }
-                for &key in chunks.remainder() {
-                    cols_out.push((((h.hash(key) as u128) * columns) >> 64) as u32);
-                }
-            }
-        }
-    }
-
     /// Rough size of the row state in 64-bit words (for space accounting).
     pub fn space_words(&self) -> usize {
         match &self.state {
@@ -346,8 +275,6 @@ mod tests {
                     let (col, sign) = h.column_sign(key);
                     assert!(col < columns);
                     assert!(sign == 1 || sign == -1);
-                    assert_eq!(col, h.column(key));
-                    assert_eq!(sign, h.sign(key));
                 }
             }
         }
@@ -386,11 +313,6 @@ mod tests {
                         assert_eq!(cols[i] as u64, col, "{}: col mismatch", backend.name());
                         assert_eq!(signs[i], sign, "{}: sign mismatch", backend.name());
                     }
-                    h.column_batch(slice, &mut cols);
-                    assert_eq!(cols.len(), len);
-                    for (i, &key) in slice.iter().enumerate() {
-                        assert_eq!(cols[i] as u64, h.column(key));
-                    }
                 }
             }
         }
@@ -404,7 +326,7 @@ mod tests {
             let n = 64_000u64;
             let mut counts = vec![0usize; columns as usize];
             for key in 0..n {
-                counts[h.column(key) as usize] += 1;
+                counts[h.column_sign(key).0 as usize] += 1;
             }
             let expect = n as f64 / columns as f64;
             for &c in &counts {
@@ -421,7 +343,7 @@ mod tests {
     fn signs_roughly_balanced_both_backends() {
         for backend in [HashBackend::Polynomial, HashBackend::Tabulation] {
             let h = RowHasher::new(backend, 8, 2025);
-            let sum: i64 = (0..100_000u64).map(|k| h.sign(k)).sum();
+            let sum: i64 = (0..100_000u64).map(|k| h.column_sign(k).1).sum();
             assert!(sum.abs() < 2000, "{}: sign sum {sum}", backend.name());
         }
     }
@@ -430,7 +352,9 @@ mod tests {
     fn backends_differ() {
         let p = RowHasher::new(HashBackend::Polynomial, 1024, 3);
         let t = RowHasher::new(HashBackend::Tabulation, 1024, 3);
-        let same = (0..256u64).filter(|&k| p.column(k) == t.column(k)).count();
+        let same = (0..256u64)
+            .filter(|&k| p.column_sign(k).0 == t.column_sign(k).0)
+            .count();
         assert!(same < 32, "backends should hash differently ({same} agree)");
     }
 

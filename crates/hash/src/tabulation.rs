@@ -7,9 +7,8 @@
 //!
 //! The sketches select their hash family through
 //! [`HashBackend`](crate::HashBackend) /[`RowHasher`](crate::RowHasher):
-//! `HashBackend::Tabulation` plugs this implementation into CountSketch and
-//! Count-Min via `CountSketchConfig::with_backend` /
-//! `CountMinConfig::with_backend` (and from there into the whole g-SUM
+//! `HashBackend::Tabulation` plugs this implementation into CountSketch via
+//! `CountSketchConfig::with_backend` (and from there into the whole g-SUM
 //! estimator stack through `GSumConfig::with_hash_backend`).  The benchmark
 //! crate's `bench_ingest` uses the same switch for the hashing-cost ablation.
 

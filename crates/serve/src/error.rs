@@ -52,8 +52,9 @@ pub enum ServeError {
     /// An underlying I/O failure (socket accept/read/write, checkpoint
     /// file I/O).
     Io(io::Error),
-    /// Folding a client state into the serving state failed: the states
-    /// were not built from the same prototype (seeds/shape/phase mismatch).
+    /// Folding a client state into the serving state failed, or a restored
+    /// checkpoint does not belong to the boot prototype: the states were
+    /// not built from the same prototype (seeds/shape/phase mismatch).
     Merge(MergeError),
     /// Saving or restoring the serving-state checkpoint envelope failed.
     Checkpoint(CheckpointError),

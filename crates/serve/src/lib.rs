@@ -29,10 +29,9 @@
 //!   `EST`/`EST <function>`/`FUNCS`/`COUNT`/`QUIT` point queries, `BUSY`
 //!   load shedding past the connection cap, clean shutdown with a final
 //!   snapshot.
-//! * [`ServableSubstrate`] / [`ServableSketch`] — the served-state
-//!   contract, split along the ingest/query seam: the substrate half is
-//!   everything fan-in needs (push, merge, checkpoint — never a G
-//!   evaluation), the sketch half answers named estimate queries.
+//! * [`ServableSketch`] — the served-state contract: everything fan-in
+//!   needs (push, merge, checkpoint — never a G evaluation) plus named
+//!   estimate queries.
 //! * [`SketchRegistry`] — many named G functions served from one ingest
 //!   path: estimators registered with an identical configuration share
 //!   one substrate sketch, every decoded batch is routed to each
@@ -82,30 +81,23 @@ use gsum_core::OnePassGSumSketch;
 use gsum_gfunc::{FunctionCodec, GFunction};
 use gsum_streams::{Checkpoint, MergeableSketch, StreamSink};
 
-/// The ingest-facing half of a servable state: push-ingestible, linear
-/// (mergeable across per-client clones), and checkpointable (for durable
-/// snapshots and parked-state fan-in).
+/// A servable state: push-ingestible, linear (mergeable across per-client
+/// clones), checkpointable (for durable snapshots and parked-state fan-in),
+/// and answering estimate queries for one or more named G functions.
 ///
-/// This is everything the fan-in machinery — the reactor's shards, the
-/// [`MergeCoordinator`]'s folds, the [`CheckpointEnvelope`] snapshots —
-/// needs; none of it ever evaluates a G function.  Query-facing estimation
-/// lives in the [`ServableSketch`] extension.
-pub trait ServableSubstrate:
-    StreamSink + MergeableSketch + Checkpoint + Clone + Send + Sync
-{
-    /// The domain size the state serves; incoming wire streams must
-    /// declare exactly this domain (validated at header decode).
-    fn domain(&self) -> u64;
-}
-
-/// The query-facing half: a [`ServableSubstrate`] that answers estimate
-/// queries for one or more named G functions.
+/// The supertraits are everything the fan-in machinery — the reactor's
+/// shards, the [`MergeCoordinator`]'s folds, the [`CheckpointEnvelope`]
+/// snapshots — needs; none of it ever evaluates a G function.
 ///
 /// Implemented for [`OnePassGSumSketch`] (one function) and
 /// [`SketchRegistry`] (any number of registered functions over shared
 /// substrates) out of the box; any long-lived estimator state satisfying
 /// the bounds can implement it and be served unchanged.
-pub trait ServableSketch: ServableSubstrate {
+pub trait ServableSketch: StreamSink + MergeableSketch + Checkpoint + Clone + Send + Sync {
+    /// The domain size the state serves; incoming wire streams must
+    /// declare exactly this domain (validated at header decode).
+    fn domain(&self) -> u64;
+
     /// The default estimate of the absorbed prefix (the first — for a
     /// single-function sketch, the only — registered function).
     fn estimate(&self) -> f64;
@@ -126,19 +118,14 @@ pub trait ServableSketch: ServableSubstrate {
     fn function_names(&self) -> Vec<String>;
 }
 
-impl<G> ServableSubstrate for OnePassGSumSketch<G>
+impl<G> ServableSketch for OnePassGSumSketch<G>
 where
     G: GFunction + Clone + FunctionCodec + Send + Sync,
 {
     fn domain(&self) -> u64 {
         OnePassGSumSketch::domain(self)
     }
-}
 
-impl<G> ServableSketch for OnePassGSumSketch<G>
-where
-    G: GFunction + Clone + FunctionCodec + Send + Sync,
-{
     fn estimate(&self) -> f64 {
         OnePassGSumSketch::estimate(self)
     }

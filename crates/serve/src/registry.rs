@@ -20,7 +20,7 @@
 //! and the registry state checkpoints as one versioned composite
 //! ([`kind::SKETCH_REGISTRY`]).
 
-use crate::{ServableSketch, ServableSubstrate};
+use crate::ServableSketch;
 use gsum_core::{GSumConfig, OnePassGSumSketch};
 use gsum_gfunc::{DynFunction, DynG, FunctionCodec, GFunction};
 use gsum_streams::checkpoint::{self, kind, Checkpoint, CheckpointError};
@@ -340,13 +340,11 @@ impl Checkpoint for SketchRegistry {
     }
 }
 
-impl ServableSubstrate for SketchRegistry {
+impl ServableSketch for SketchRegistry {
     fn domain(&self) -> u64 {
         self.substrates.first().map_or(0, |s| s.config.domain)
     }
-}
 
-impl ServableSketch for SketchRegistry {
     /// The default estimator's estimate (first registered function); `0.0`
     /// for an empty registry.
     fn estimate(&self) -> f64 {

@@ -248,6 +248,11 @@ impl<S: ServableSketch> GsumServer<S> {
     /// [`CheckpointEnvelope`], the serving state restores from it — a
     /// checkpoint taken by one incarnation resumes seamlessly, and
     /// bit-exactly, in the next.
+    ///
+    /// A restored state must belong to `prototype`: it is merged into a
+    /// clone of the prototype, so a checkpoint written under a different
+    /// seed, configuration or function table fails the boot with
+    /// [`ServeError::Merge`] instead of failing every later fold.
     pub fn boot(
         prototype: S,
         config: ServeConfig,
@@ -259,6 +264,9 @@ impl<S: ServableSketch> GsumServer<S> {
                 .transpose()?,
             None => None,
         };
+        if let Some((state, _)) = &restored {
+            prototype.clone().merge(state)?;
+        }
         let (initial, durable) = restored.unwrap_or_else(|| (prototype.clone(), 0));
         let coordinator =
             MergeCoordinator::new(initial, durable, config.checkpoint_every, checkpoint_path)?;

@@ -41,13 +41,14 @@ pub struct CountSketchScratch {
 }
 
 /// Reusable query-side scratch for
-/// [`CountSketch::residual_f2_excluding`]: the per-column exclusion flags
-/// and the per-row sums, so residual queries on the cover hot path stop
-/// allocating.
+/// [`CountSketch::residual_f2_excluding`]: the per-column exclusion flags,
+/// the batched hash kernel's outputs (the signs are not read) and the
+/// per-row sums, so residual queries on the cover hot path stop allocating.
 #[derive(Debug, Default)]
 struct ResidualScratch {
     excluded_cols: Vec<bool>,
     cols: Vec<u32>,
+    signs: Vec<i64>,
     row_sums: Vec<f64>,
 }
 
@@ -363,6 +364,7 @@ impl CountSketch {
         let ResidualScratch {
             excluded_cols,
             cols,
+            signs,
             row_sums,
         } = &mut *scratch;
         row_sums.clear();
@@ -378,10 +380,10 @@ impl CountSketch {
             for flag in excluded_cols.iter_mut() {
                 *flag = false;
             }
-            // Hash every excluded item through the row's batched bucket
-            // kernel (coefficients hoisted / blocked table lookups) instead
-            // of one scalar `column` call per item.
-            self.rows[row].column_batch(excluded, cols);
+            // Hash every excluded item through the row's batched kernel
+            // (coefficients hoisted / blocked table lookups) instead of one
+            // scalar call per item; only the buckets are needed.
+            self.rows[row].column_sign_batch(excluded, cols, signs);
             for &col in cols.iter() {
                 excluded_cols[col as usize] = true;
             }

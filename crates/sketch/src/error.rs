@@ -5,7 +5,8 @@ use std::fmt;
 /// Errors raised when configuring a sketch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SketchError {
-    /// A structural parameter (rows, columns, sample size) was zero.
+    /// A structural parameter (rows, columns, AMS averages or medians) was
+    /// zero.
     EmptyDimension {
         /// Which parameter was empty.
         parameter: &'static str,
@@ -17,22 +18,6 @@ pub enum SketchError {
         /// The offending value.
         value: f64,
     },
-    /// Attempted to merge two sketches with incompatible shapes or seeds.
-    ///
-    /// Merge failures are reported as [`gsum_streams::MergeError`] by the
-    /// [`gsum_streams::MergeableSketch`] implementations; the `From`
-    /// conversion below folds them into a `SketchError` for callers whose
-    /// error paths mix construction and merge failures.
-    IncompatibleMerge {
-        /// Human-readable reason.
-        reason: String,
-    },
-}
-
-impl From<gsum_streams::MergeError> for SketchError {
-    fn from(e: gsum_streams::MergeError) -> Self {
-        SketchError::IncompatibleMerge { reason: e.reason }
-    }
 }
 
 impl fmt::Display for SketchError {
@@ -46,9 +31,6 @@ impl fmt::Display for SketchError {
                     f,
                     "sketch parameter `{parameter}` = {value} must lie in (0, 1)"
                 )
-            }
-            SketchError::IncompatibleMerge { reason } => {
-                write!(f, "cannot merge sketches: {reason}")
             }
         }
     }
@@ -69,21 +51,5 @@ mod tests {
             value: 1.5,
         };
         assert!(e.to_string().contains("delta") && e.to_string().contains("1.5"));
-        let e = SketchError::IncompatibleMerge {
-            reason: "different seeds".into(),
-        };
-        assert!(e.to_string().contains("different seeds"));
-    }
-
-    #[test]
-    fn merge_error_folds_into_sketch_error() {
-        let merge = gsum_streams::MergeError::new("seed mismatch");
-        let folded: SketchError = merge.into();
-        assert_eq!(
-            folded,
-            SketchError::IncompatibleMerge {
-                reason: "seed mismatch".into()
-            }
-        );
     }
 }

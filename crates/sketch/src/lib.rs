@@ -12,13 +12,7 @@
 //! * [`AmsF2Sketch`] — the Alon–Matias–Szegedy "tug of war" estimator of
 //!   `F₂ = Σ v_i²`, used by Algorithm 2's pruning stage to normalize the
 //!   CountSketch error.
-//! * [`CountMinSketch`] — included as the natural insertion-only baseline;
-//!   it is *not* sufficient for the paper's algorithms (its error scales with
-//!   `F₁` rather than `√F₂`), and experiment E9 uses it to show why
-//!   CountSketch is the right substrate.
 //! * [`ExactFrequencies`] — the exact (linear space) baseline.
-//! * [`SamplingEstimator`] — a uniform-sampling baseline for g-SUM, the naive
-//!   alternative the introduction implicitly compares against.
 //!
 //! All sketches implement the push-based
 //! [`StreamSink`] contract (updates are pushed one
@@ -29,19 +23,15 @@
 //! resharding of it.
 
 pub mod ams;
-pub mod countmin;
 pub mod countsketch;
 pub mod error;
 pub mod exact;
-pub mod sampling;
 pub(crate) mod util;
 
 pub use ams::AmsF2Sketch;
-pub use countmin::{CountMinConfig, CountMinSketch};
 pub use countsketch::{CountSketch, CountSketchConfig};
 pub use error::SketchError;
 pub use exact::ExactFrequencies;
-pub use sampling::SamplingEstimator;
 
 // The hash-backend switch, the push-based ingestion contract and the
 // snapshot/restore layer, re-exported so sketch users need only this crate.

@@ -45,20 +45,19 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"ZLCK";
 pub const CHECKPOINT_VERSION: u16 = 1;
 
 /// State-kind tags, one per checkpointable type.  Append-only: a tag's
-/// meaning never changes across versions.
+/// meaning never changes across versions, and a retired tag is never
+/// reused.
 pub mod kind {
     /// [`gsum_hash::RowHasher`].
     pub const ROW_HASHER: u16 = 1;
     /// `gsum_sketch::CountSketch`.
     pub const COUNT_SKETCH: u16 = 2;
-    /// `gsum_sketch::CountMinSketch`.
-    pub const COUNT_MIN: u16 = 3;
+    // 3 was the retired Count-Min sketch; never reuse it.
     /// `gsum_sketch::AmsF2Sketch`.
     pub const AMS_F2: u16 = 4;
     /// `gsum_sketch::ExactFrequencies`.
     pub const EXACT_FREQUENCIES: u16 = 5;
-    /// `gsum_sketch::SamplingEstimator`.
-    pub const SAMPLING: u16 = 6;
+    // 6 was the retired uniform-sampling baseline; never reuse it.
     /// `gsum_core::DistCounter`.
     pub const DIST_COUNTER: u16 = 7;
     /// `gsum_core::GnpHeavyHitter`.
@@ -93,7 +92,7 @@ pub enum CheckpointError {
         found: u16,
     },
     /// The checkpoint holds a different kind of state than the one being
-    /// restored (e.g. Count-Min bytes handed to a CountSketch).
+    /// restored (e.g. CountSketch bytes handed to an AMS sketch).
     WrongKind {
         /// The kind tag the restoring type expected.
         expected: u16,

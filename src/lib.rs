@@ -11,8 +11,7 @@
 //! * [`hash`] — k-wise independent hashing, sign/bucket hashes, seeded RNG.
 //! * [`streams`] — the turnstile stream model, frequency vectors and
 //!   workload generators.
-//! * [`sketch`] — CountSketch, Count-Min, the AMS F₂ sketch and exact
-//!   baselines.
+//! * [`sketch`] — CountSketch, the AMS F₂ sketch and the exact baseline.
 //! * [`gfunc`] — the function class `G`, the slow-jumping / slow-dropping /
 //!   predictable analyzers and the zero-one-law classifier.
 //! * [`core`] — the g-SUM algorithms (recursive sketch, 1-pass and 2-pass
@@ -79,9 +78,9 @@
 //!   `f64` path, but vectorizable (build with `RUSTFLAGS="-C
 //!   target-cpu=native"` to let the compiler use wider SIMD lanes).
 //! * **Batched hash kernels.** Under the batch paths the hash stage itself
-//!   is batch-shaped: [`RowHasher`](prelude::RowHasher) exposes
-//!   `column_sign_batch` / `column_batch` kernels that take a slice of keys
-//!   and fill structure-of-arrays column/sign buffers.  The polynomial
+//!   is batch-shaped: [`RowHasher`](prelude::RowHasher) exposes a
+//!   `column_sign_batch` kernel that takes a slice of keys and fills
+//!   structure-of-arrays column/sign buffers.  The polynomial
 //!   backend hoists the row's coefficients out of the key loop and
 //!   accumulates each degree-3 dot product lazily in `u128` with a single
 //!   reduction; the tabulation backend walks keys in blocks of 16 so table
@@ -107,8 +106,8 @@
 //!   `GF(2^61 − 1)`) or `Tabulation` (Pătraşcu–Thorup simple tabulation —
 //!   3-wise independent, multiplication-free, measurably faster).  Both use
 //!   division-free multiply-shift bucket reduction.  Select it with
-//!   `CountSketchConfig::with_backend` / `CountMinConfig::with_backend`, or
-//!   for the whole estimator stack with `GSumConfig::with_hash_backend`;
+//!   `CountSketchConfig::with_backend`, or for the whole estimator stack
+//!   with `GSumConfig::with_hash_backend`;
 //!   merges refuse sketches built with different backends.
 //! * **Sign family.** The AMS sign source has the analogous knob,
 //!   [`SignFamily`](prelude::SignFamily): `Polynomial4` (the default —
@@ -418,13 +417,11 @@ pub mod prelude {
     pub use gsum_hash::{HashBackend, RowHasher, SignBank, SignFamily, SignHashBank, TabSignBank};
     pub use gsum_serve::{
         protocol, CheckpointEnvelope, Command, GsumServer, MergeCoordinator, ProtocolError,
-        RegistryError, Response, ServableSketch, ServableSubstrate, ServeConfig, ServeConfigError,
-        ServeError, ServeEvent, ServeObserver, ServePolicy, ServeStats, ServeSummary,
-        SketchRegistry,
+        RegistryError, Response, ServableSketch, ServeConfig, ServeConfigError, ServeError,
+        ServeEvent, ServeObserver, ServePolicy, ServeStats, ServeSummary, SketchRegistry,
     };
     pub use gsum_sketch::{
-        AmsF2Sketch, CountMinConfig, CountMinSketch, CountSketch, CountSketchConfig,
-        ExactFrequencies, FrequencySketch,
+        AmsF2Sketch, CountSketch, CountSketchConfig, ExactFrequencies, FrequencySketch,
     };
     pub use gsum_streams::{
         coalesce_updates, Checkpoint, CheckpointError, FrameDecoder, FrameReader, FrameWriter,

@@ -19,9 +19,7 @@ use zerolaw::core::{
     OnePassHeavyHitterConfig, RecursiveSketch, TwoPassHeavyHitter, TwoPassHeavyHitterConfig,
 };
 use zerolaw::prelude::*;
-use zerolaw::sketch::{
-    CountMinConfig, CountMinSketch, CountSketch, CountSketchConfig, HashBackend, SamplingEstimator,
-};
+use zerolaw::sketch::{CountSketch, CountSketchConfig, HashBackend};
 
 const DOMAIN: u64 = 64;
 const BACKENDS: [HashBackend; 2] = [HashBackend::Polynomial, HashBackend::Tabulation];
@@ -145,18 +143,6 @@ proptest! {
         }
     }
 
-    /// Count-Min: same agreement under both backends.
-    #[test]
-    fn countmin_batch_equals_single(s in stream_strategy(DOMAIN, 120), seed in 0u64..200) {
-        for backend in BACKENDS {
-            let proto = CountMinSketch::with_config(
-                CountMinConfig::new(3, 32).with_backend(backend),
-                seed,
-            );
-            assert_batch_equivalent(&proto, &s, check_estimates)?;
-        }
-    }
-
     /// AMS: the F2 estimate agrees bit-for-bit, under both sign families.
     #[test]
     fn ams_batch_equals_single(s in stream_strategy(DOMAIN, 120), seed in 0u64..200) {
@@ -169,17 +155,14 @@ proptest! {
         }
     }
 
-    /// Exact tracker and sampling estimator (default batch path).
+    /// Exact tracker (default batch path).
     #[test]
-    fn exact_and_sampling_batch_equals_single(s in stream_strategy(DOMAIN, 120)) {
+    fn exact_batch_equals_single(s in stream_strategy(DOMAIN, 120)) {
         let proto = ExactFrequencies::new(DOMAIN);
         assert_batch_equivalent(&proto, &s, |a, b| {
             prop_assert_eq!(a.vector(), b.vector());
             Ok(())
         })?;
-
-        let proto = SamplingEstimator::new(DOMAIN, 16, 3);
-        assert_batch_equivalent(&proto, &s, check_estimates)?;
     }
 
     /// DIST counter: coalesced batches give the same verdict state.
@@ -329,9 +312,9 @@ proptest! {
         }
     }
 
-    /// The fused hash-stage kernels themselves: batched `(column, sign)` and
-    /// column-only evaluation are bit-identical to the per-key
-    /// `column_sign` / `column` calls they replace, under both backends,
+    /// The fused hash-stage kernel itself: batched `(column, sign)`
+    /// evaluation is bit-identical to the per-key `column_sign` call it
+    /// replaces, under both backends,
     /// over key slices that mix duplicates, key 0, the domain boundary and
     /// arbitrary 64-bit keys (exercising the reduction folds), at column
     /// counts spanning the Lemire bucketing range the sketches use.
@@ -368,17 +351,6 @@ proptest! {
                     (cols[i] as u64, signs[i]),
                     (col, sign),
                     "fused batch kernel diverges at key {} under {:?}",
-                    key,
-                    backend
-                );
-            }
-            let mut only_cols = Vec::new();
-            hasher.column_batch(&keys, &mut only_cols);
-            for (i, &key) in keys.iter().enumerate() {
-                prop_assert_eq!(
-                    only_cols[i] as u64,
-                    hasher.column(key),
-                    "column-only batch kernel diverges at key {} under {:?}",
                     key,
                     backend
                 );
@@ -511,8 +483,8 @@ proptest! {
     }
 }
 
-/// Extreme deltas defeat the `max|Δ|·n < 2^52` gate, so the CountSketch and
-/// Count-Min batch paths must take their `f64` fallback branch — and still
+/// Extreme deltas defeat the `max|Δ|·n < 2^52` gate, so the CountSketch
+/// batch path must take its `f64` fallback branch — and still
 /// agree with per-update ingestion on every estimate, bit for bit.  Outside
 /// the exact-integer regime f64 addition is order-sensitive, so the batches
 /// use distinct items in ascending order: coalescing is then a no-op and
@@ -531,35 +503,23 @@ fn huge_deltas_take_the_fallback_and_still_agree() {
 
     for backend in BACKENDS {
         let cs_proto = CountSketch::new(CountSketchConfig::new(3, 32).with_backend(backend), 11);
-        let cm_proto =
-            CountMinSketch::with_config(CountMinConfig::new(3, 32).with_backend(backend), 11);
 
         let mut cs_ref = cs_proto.clone();
-        let mut cm_ref = cm_proto.clone();
         for &u in huge.iter().chain(small.iter()) {
             cs_ref.update(u);
-            cm_ref.update(u);
         }
 
         // One batch per regime: fallback for the huge half, fast path for
         // the small half.
         let mut cs_batched = cs_proto.clone();
-        let mut cm_batched = cm_proto.clone();
         cs_batched.update_batch(&huge);
         cs_batched.update_batch(&small);
-        cm_batched.update_batch(&huge);
-        cm_batched.update_batch(&small);
 
         for item in 0..DOMAIN {
             assert_eq!(
                 cs_ref.estimate(item).to_bits(),
                 cs_batched.estimate(item).to_bits(),
                 "CountSketch {backend:?} diverges on item {item} with extreme deltas"
-            );
-            assert_eq!(
-                cm_ref.estimate(item).to_bits(),
-                cm_batched.estimate(item).to_bits(),
-                "Count-Min {backend:?} diverges on item {item} with extreme deltas"
             );
         }
     }
@@ -570,8 +530,8 @@ fn huge_deltas_take_the_fallback_and_still_agree() {
 /// pathological magnitudes (it must *answer* `false`, not wrap around to a
 /// small product and take the overflowing i64 path).  `±(i64::MAX − 1)`
 /// converts to the exact f64 `2^63`, so every fallback addend is exact and
-/// per-update and batched ingestion still agree bit for bit — for AMS,
-/// CountSketch and Count-Min, under both sign families.
+/// per-update and batched ingestion still agree bit for bit — for AMS under
+/// both sign families and CountSketch under both backends.
 #[test]
 fn max_scale_deltas_overflow_proof_gate_and_agree() {
     let extreme: Vec<Update> = vec![
@@ -597,28 +557,17 @@ fn max_scale_deltas_overflow_proof_gate_and_agree() {
 
     for backend in BACKENDS {
         let cs_proto = CountSketch::new(CountSketchConfig::new(3, 32).with_backend(backend), 17);
-        let cm_proto =
-            CountMinSketch::with_config(CountMinConfig::new(3, 32).with_backend(backend), 17);
         let mut cs_ref = cs_proto.clone();
-        let mut cm_ref = cm_proto.clone();
         for &u in &extreme {
             cs_ref.update(u);
-            cm_ref.update(u);
         }
         let mut cs_batched = cs_proto.clone();
-        let mut cm_batched = cm_proto.clone();
         cs_batched.update_batch(&extreme);
-        cm_batched.update_batch(&extreme);
         for item in 0..DOMAIN {
             assert_eq!(
                 cs_ref.estimate(item).to_bits(),
                 cs_batched.estimate(item).to_bits(),
                 "CountSketch {backend:?} diverges on item {item} at i64::MAX scale"
-            );
-            assert_eq!(
-                cm_ref.estimate(item).to_bits(),
-                cm_batched.estimate(item).to_bits(),
-                "Count-Min {backend:?} diverges on item {item} at i64::MAX scale"
             );
         }
     }
@@ -635,14 +584,6 @@ fn merge_rejects_backend_mismatch() {
     );
     let mut a = poly.clone();
     assert!(a.merge(&tab).is_err());
-
-    let cm_poly = CountMinSketch::with_config(CountMinConfig::new(2, 16), 5);
-    let cm_tab = CountMinSketch::with_config(
-        CountMinConfig::new(2, 16).with_backend(HashBackend::Tabulation),
-        5,
-    );
-    let mut c = cm_poly.clone();
-    assert!(c.merge(&cm_tab).is_err());
 }
 
 /// Sign-family mismatches are merge errors too, at every layer that embeds

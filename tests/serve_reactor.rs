@@ -17,8 +17,9 @@
 //! pipelined on one connection, the deterministic `BUSY` shed reply,
 //! stream acks that stay durable while queries flush the same shard, a
 //! stream of hostile deltas failing alone without taking the server down,
-//! and a restart from a mid-stream envelope that replays the non-durable
-//! suffix back to the uninterrupted state.
+//! a restart from a mid-stream envelope that replays the non-durable
+//! suffix back to the uninterrupted state, and a boot that refuses an
+//! envelope written by another prototype.
 
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -866,4 +867,33 @@ fn restart_from_a_mid_stream_envelope_replays_to_the_uninterrupted_state() {
             let _ = std::fs::remove_file(path.with_extension("tmp"));
         }
     }
+}
+
+/// An envelope written by another prototype — here, another seed — is
+/// refused at boot with a typed merge error, instead of booting and then
+/// failing every fold.  The envelope's own prototype still boots from it.
+#[test]
+fn boot_rejects_an_envelope_from_another_prototype() {
+    let config = GSumConfig::with_space_budget(DOMAIN, 0.25, 64, 11);
+    let seeded = |seed| OnePassGSumSketch::with_seed(PowerFunction::new(2.0), &config, seed);
+    let mut written = seeded(2);
+    written.update(Update::new(HEAVY, 3));
+    let path = std::env::temp_dir().join(format!(
+        "gsum_serve_foreign_envelope_{}.ckpt",
+        std::process::id()
+    ));
+    CheckpointEnvelope::park(1, &written)
+        .expect("park")
+        .save_atomic(&path)
+        .expect("save");
+
+    match GsumServer::boot(seeded(1), ServeConfig::new(), Some(path.clone())) {
+        Err(ServeError::Merge(_)) => {}
+        Err(other) => panic!("expected a merge error, got {other}"),
+        Ok(_) => panic!("a seed-1 server booted from a seed-2 envelope"),
+    }
+    let server = GsumServer::boot(seeded(2), ServeConfig::new(), Some(path.clone())).expect("boot");
+    assert_eq!(server.durable_count(), 1);
+    assert_eq!(server.estimate().to_bits(), written.estimate().to_bits());
+    let _ = std::fs::remove_file(&path);
 }
