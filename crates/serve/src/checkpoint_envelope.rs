@@ -23,7 +23,8 @@
 use crate::error::ServeError;
 use gsum_streams::checkpoint::{read_u16, read_u64, write_u16, write_u64};
 use gsum_streams::{Checkpoint, CheckpointError, ParkedState};
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// The 4-byte magic prefix of every serving-state envelope.
@@ -121,11 +122,18 @@ impl CheckpointEnvelope {
     /// file nor its directory is `fsync`ed, so after power loss or an
     /// operating-system crash the target may hold the previous envelope,
     /// the new one, or a torn or empty file.
+    ///
+    /// The header and the state bytes go straight into the temp file; the
+    /// envelope is never copied into a second buffer first.
     pub fn save_atomic(&self, path: &Path) -> Result<(), ServeError> {
-        let mut bytes = Vec::with_capacity(self.state_bytes().len() + 16);
-        self.write_to(&mut bytes)?;
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes)?;
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        self.write_to(&mut file).map_err(|e| match e {
+            CheckpointError::Io(e) => ServeError::Io(e),
+            other => ServeError::Checkpoint(other),
+        })?;
+        file.flush()?;
+        drop(file);
         std::fs::rename(&tmp, path)?;
         Ok(())
     }

@@ -9,9 +9,17 @@
 //! exactly).  The coordinator is the one place that fold happens: it owns
 //! the serving sketch behind a lock, applies the durable-count accounting,
 //! counts the streams the configured
-//! [`ServePolicy`](crate::ServePolicy) kept or dropped, and publishes a
-//! [`CheckpointEnvelope`] snapshot every `checkpoint_every` merged updates
-//! (atomic temp-file + rename).
+//! [`ServePolicy`](crate::ServePolicy) kept or dropped, and makes a
+//! [`CheckpointEnvelope`] snapshot due every `checkpoint_every` merged
+//! updates (atomic temp-file + rename).
+//!
+//! A due snapshot is parked under the state lock, so it is a consistent
+//! cut, and written outside it.  [`fold`](MergeCoordinator::fold) writes it
+//! before returning.  While [`GsumServer::serve`](crate::GsumServer::serve)
+//! runs, the serving path only parks: one publisher thread writes every
+//! envelope, so neither a fold worker nor the reactor waits on the disk,
+//! and the envelope on disk can trail the acknowledged durable count by
+//! the snapshot in flight.
 //!
 //! The coordinator is deliberately transport-free: the TCP server's fold
 //! workers hand it per-worker shards and per-connection accumulators, the
@@ -136,15 +144,17 @@ impl<S: ServableSketch> MergeCoordinator<S> {
     /// update count after the fold.
     pub fn fold(&self, client: &S, updates: u64) -> Result<u64, ServeError> {
         let (durable, due) = self.merge(client, updates)?;
-        self.publish_due(due)?;
+        if let Some(envelope) = due {
+            self.publish(&envelope)?;
+        }
         Ok(durable)
     }
 
     /// The in-memory half of [`fold`](Self::fold): merge under the state
     /// lock and return the durable count after the merge, plus the snapshot
-    /// envelope if the cadence came due, without writing it.  The caller
-    /// hands the envelope to [`publish_due`](Self::publish_due), so it can
-    /// release its own locks before the disk write.
+    /// envelope if the cadence came due, without writing it.  The serving
+    /// path hands the envelope to its publisher thread, which
+    /// [`publish`](Self::publish)es it.
     pub(crate) fn merge(
         &self,
         client: &S,
@@ -168,15 +178,6 @@ impl<S: ServableSketch> MergeCoordinator<S> {
             None
         };
         Ok((durable, due))
-    }
-
-    /// The disk half of [`fold`](Self::fold): write the envelope
-    /// [`merge`](Self::merge) returned, if any.
-    pub(crate) fn publish_due(&self, due: Option<CheckpointEnvelope>) -> Result<(), ServeError> {
-        match due {
-            Some(envelope) => self.publish(&envelope),
-            None => Ok(()),
-        }
     }
 
     /// Record a client stream folded to clean completion.  Folds and stream
@@ -221,12 +222,13 @@ impl<S: ServableSketch> MergeCoordinator<S> {
         Ok(env)
     }
 
-    /// Write an envelope to the checkpoint path, holding only the publisher
-    /// lock — folds and queries proceed during the disk I/O.  Concurrent
-    /// publishers race benignly: the durable-count check keeps the on-disk
-    /// envelope monotone, so a stale snapshot can never overwrite a newer
-    /// one.
-    fn publish(&self, envelope: &CheckpointEnvelope) -> Result<(), ServeError> {
+    /// The disk half of [`fold`](Self::fold): write an envelope to the
+    /// checkpoint path, holding only the publisher lock — folds and queries
+    /// proceed during the disk I/O.  Concurrent publishers race benignly:
+    /// the durable-count check keeps the on-disk envelope monotone, so a
+    /// stale snapshot can never overwrite a newer one.  A failed write
+    /// leaves the previous envelope in place.
+    pub(crate) fn publish(&self, envelope: &CheckpointEnvelope) -> Result<(), ServeError> {
         let path = self
             .checkpoint_path
             .as_deref()

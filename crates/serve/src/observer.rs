@@ -5,8 +5,8 @@
 //! [`ServeConfig`](crate::ServeConfig) instead of writing bare lines to
 //! stderr: `bench_serve` counts sheds and drops, tests assert on exact
 //! event streams, and an operator can route them into real telemetry —
-//! nobody scrapes stderr.  The default observer preserves the historical
-//! behavior: accept failures and connection errors go to stderr with the
+//! nobody scrapes stderr.  The default observer prints accept failures,
+//! connection errors and failed snapshot writes to stderr with the
 //! `[gsum-serve]` prefix; load sheds, idle timeouts and stream failures
 //! are routine events and stay silent.
 
@@ -16,8 +16,9 @@ use std::sync::Arc;
 /// One observable event from the serving loop.
 ///
 /// Events are diagnostics, not control flow: the server behaves identically
-/// whatever the observer does, and the callback runs on the reactor thread,
-/// so it should return quickly.
+/// whatever the observer does.  The callback runs on the reactor thread
+/// (and, for [`SnapshotFailed`](Self::SnapshotFailed), on the snapshot
+/// publisher thread), so it should return quickly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeEvent {
     /// `accept` itself failed; the listener keeps running.
@@ -54,6 +55,14 @@ pub enum ServeEvent {
         /// Why the stream failed, rendered.
         reason: String,
     },
+    /// Writing a due snapshot envelope failed.  The previous envelope stays
+    /// on disk, the server keeps serving, and the next due snapshot tries
+    /// again; only the final snapshot of a clean shutdown fails
+    /// [`GsumServer::serve`](crate::GsumServer::serve).
+    SnapshotFailed {
+        /// The write error, rendered.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ServeEvent {
@@ -72,6 +81,7 @@ impl fmt::Display for ServeEvent {
                 write!(f, "connection idle for {idle_ms}ms, dropped")
             }
             ServeEvent::StreamFailed { reason } => write!(f, "stream failed: {reason}"),
+            ServeEvent::SnapshotFailed { reason } => write!(f, "snapshot write failed: {reason}"),
         }
     }
 }
@@ -79,12 +89,13 @@ impl fmt::Display for ServeEvent {
 /// The observer callback type carried by [`ServeConfig`](crate::ServeConfig).
 pub type ServeObserver = Arc<dyn Fn(&ServeEvent) + Send + Sync>;
 
-/// The default observer: accept failures and connection errors to stderr
-/// (exactly the two conditions the pre-reactor server printed), everything
-/// else silent.
+/// The default observer: accept failures, connection errors and failed
+/// snapshot writes to stderr, everything else silent.
 pub(crate) fn default_observer() -> ServeObserver {
     Arc::new(|event| match event {
-        ServeEvent::AcceptFailed { .. } | ServeEvent::ConnectionError { .. } => {
+        ServeEvent::AcceptFailed { .. }
+        | ServeEvent::ConnectionError { .. }
+        | ServeEvent::SnapshotFailed { .. } => {
             eprintln!("[gsum-serve] {event}");
         }
         _ => {}
@@ -115,5 +126,10 @@ mod tests {
         }
         .to_string()
         .contains("truncated"));
+        assert!(ServeEvent::SnapshotFailed {
+            reason: "disk full".into()
+        }
+        .to_string()
+        .contains("disk full"));
     }
 }

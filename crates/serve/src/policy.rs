@@ -16,7 +16,7 @@
 /// | policy           | a stream's updates fold                  | a dead stream keeps       |
 /// |------------------|------------------------------------------|---------------------------|
 /// | `DiscardPartial` | once, at its end frame                   | nothing                   |
-/// | `MergeCompleted` | with its worker's shard: once the shard holds ≥ K updates, on a query, or at a stream end | every update of its completed frames |
+/// | `MergeCompleted` | with its worker's shard: once the shard, after absorbing everything queued, holds ≥ K updates; on a query; or at a stream end | every update of its completed frames |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServePolicy {
     /// All-or-nothing streams: a client's updates accumulate in its
@@ -30,11 +30,15 @@ pub enum ServePolicy {
     #[default]
     DiscardPartial,
     /// Mid-stream durability: each fold worker absorbs its connections'
-    /// decoded updates into one shard sketch, which folds into the serving
-    /// state once it holds at least K (`checkpoint_every`) updates, on a
-    /// query, and at a stream's end frame.  Durable counts are therefore
-    /// not K-aligned.  A stream that dies mid-frame keeps every update of
-    /// its completed frames, and the serving state checkpoints mid-stream.
+    /// decoded updates into one shard sketch, taking every batch queued for
+    /// it as one coalesced batch.  The shard folds into the serving state
+    /// once, after such an absorb, it holds at least K (`checkpoint_every`)
+    /// updates, on a query, and at a stream's end frame.  Durable counts
+    /// are therefore not K-aligned.  A stream that dies mid-frame keeps
+    /// every update of its completed frames, and the serving state
+    /// checkpoints mid-stream; the snapshots are written by the server's
+    /// publisher thread, so the envelope on disk can trail the durable
+    /// count by the snapshot in flight.
     /// That is the kill/resume contract: after a restart, a single writer
     /// reads the durable count `D` (`COUNT`) and replays only the updates
     /// from offset `D` on.

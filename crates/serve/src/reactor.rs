@@ -18,21 +18,38 @@
 //!   batches arrive at one worker in order.
 //! * **Per-worker shards**: under [`ServePolicy::MergeCompleted`] each
 //!   worker absorbs batches into its own accumulator sketch and folds into
-//!   the published serving state only on query, checkpoint cadence, or
-//!   stream completion (the `OK` ack must carry a durable count that
-//!   includes the stream).  Linearity licenses the sharding: integer-valued
-//!   `f64` counters add exactly, so shards folded in any order land on the
-//!   single-threaded concat-replay state bit for bit —
+//!   the published serving state only on query, once the shard holds at
+//!   least K (`checkpoint_every`) updates after absorbing everything
+//!   queued, or at stream completion (the `OK` ack must carry a durable
+//!   count that includes the stream).  Linearity licenses the sharding:
+//!   integer-valued `f64` counters add exactly, so shards folded in any
+//!   order land on the single-threaded concat-replay state bit for bit —
 //!   `tests/serve_reactor.rs` proptests exactly that claim, load shedding
 //!   included.  [`ServePolicy::DiscardPartial`] is all-or-nothing, so there
 //!   is nothing to share mid-stream: the per-connection accumulator *is*
 //!   the shard, folded once at the end frame or dropped on failure.
+//! * **Drained batches**: a worker that receives a batch also takes every
+//!   batch already queued behind it for the same sketch (any connection's
+//!   into a shard, the same connection's otherwise), keeps their union
+//!   coalesced, and applies it with one `update_batch`.  Linearity makes
+//!   the union exact, so this changes no state byte; it spends the worker's
+//!   time on updates instead of on per-batch calls, folds and snapshots.
+//! * **One publisher thread** writes every snapshot envelope the serving
+//!   path makes due.  The [`MergeCoordinator`] parks a due envelope under
+//!   its state lock, so the envelope is a consistent cut; a depth-1 channel
+//!   carries it to the publisher, and neither a fold worker nor the reactor
+//!   waits on the disk.  The envelope on disk can therefore trail the
+//!   durable count an `OK` acknowledged by the snapshot in flight.  A
+//!   failed write is a [`ServeEvent::SnapshotFailed`], not a failed stream
+//!   or a stopped server; the next due snapshot retries.
 //!
 //! Hostile deltas are stopped at dispatch: a batch that fails
 //! [`check_delta_magnitudes`] (Σ|δ| past `i64::MAX`) fails its stream
-//! before any worker coalesces it, so no summation order can overflow an
-//! item's `i64` total.
+//! before any worker coalesces it, and a worker stops draining before the
+//! union's Σ|δ| would pass `i64::MAX`, so no summation order can overflow
+//! an item's `i64` total.
 
+use crate::checkpoint_envelope::CheckpointEnvelope;
 use crate::coordinator::MergeCoordinator;
 use crate::error::ServeError;
 use crate::observer::ServeEvent;
@@ -40,7 +57,8 @@ use crate::protocol::{Command, Response};
 use crate::server::ServeConfig;
 use crate::ServableSketch;
 use gsum_streams::wire::WIRE_MAGIC;
-use gsum_streams::{check_delta_magnitudes, FrameDecoder, Update};
+use gsum_streams::{check_delta_magnitudes, coalesce_into, FrameDecoder, Update};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -85,8 +103,13 @@ struct ShardAcc<S> {
 /// What the reactor sends a fold worker.  All messages for one connection
 /// go to one worker (sticky routing), in order.
 enum WorkerMsg {
-    /// Decoded updates from one connection's stream.
-    Batch { conn: u64, updates: Vec<Update> },
+    /// Decoded updates from one connection's stream, with their Σ|δ| as
+    /// [`check_delta_magnitudes`] returned it (at most `i64::MAX`).
+    Batch {
+        conn: u64,
+        updates: Vec<Update>,
+        magnitude: u64,
+    },
     /// The connection's stream reached its end-of-stream frame; fold, then
     /// acknowledge with `OK <durable>`.
     End { conn: u64 },
@@ -147,9 +170,10 @@ impl Conn {
     }
 }
 
-/// Run the serving loop: spawn the worker pool, drive the reactor until a
-/// clean `QUIT` drain, then fold any shard remainders.  The caller takes
-/// the final snapshot.
+/// Run the serving loop: spawn the snapshot publisher and the worker pool,
+/// drive the reactor until a clean `QUIT` drain, then fold any shard
+/// remainders.  The publisher has written every due envelope and exited
+/// before this returns; the caller takes the final snapshot.
 pub(crate) fn run<S: ServableSketch>(
     prototype: &S,
     config: &ServeConfig,
@@ -176,40 +200,78 @@ pub(crate) fn run<S: ServableSketch>(
         Vec::new()
     };
 
-    let (reply_tx, reply_rx) = mpsc::channel::<(u64, Response)>();
-    std::thread::scope(|scope| {
-        let mut txs = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(config.pipeline().channel_depth());
-            txs.push(tx);
-            let replies = reply_tx.clone();
-            let shard = shards.get(w).cloned();
-            let every = config.checkpoint_every();
-            scope.spawn(move || worker_loop(rx, replies, shard, prototype, coordinator, every));
-        }
-        drop(reply_tx);
-        let mut reactor = Reactor {
-            prototype,
-            config,
-            coordinator,
-            txs: &txs,
-            shards: &shards,
-            dispatch_at: config.pipeline().batch_size().max(1),
-            domain: prototype.domain(),
-            draining: false,
-        };
-        reactor.serve_loop(&listener, &reply_rx)
-        // `txs` drops here: the workers drain their queues and exit, and
-        // the scope joins them before anything below runs.
-    })?;
+    std::thread::scope(|publishing| {
+        let (publish_tx, publish_rx) = mpsc::sync_channel::<CheckpointEnvelope>(1);
+        publishing.spawn(move || publish_loop(publish_rx, coordinator, config));
+        let (reply_tx, reply_rx) = mpsc::channel::<(u64, Response)>();
+        std::thread::scope(|scope| {
+            let mut txs = Vec::with_capacity(workers);
+            for w in 0..workers {
+                let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(config.pipeline().channel_depth());
+                txs.push(tx);
+                let replies = reply_tx.clone();
+                let shard = shards.get(w).cloned();
+                let publish = publish_tx.clone();
+                scope.spawn(move || {
+                    worker_loop(rx, replies, shard, prototype, coordinator, publish, config)
+                });
+            }
+            drop(reply_tx);
+            let mut reactor = Reactor {
+                prototype,
+                config,
+                coordinator,
+                txs: &txs,
+                shards: &shards,
+                publish: &publish_tx,
+                dispatch_at: config.pipeline().batch_size().max(1),
+                domain: prototype.domain(),
+                draining: false,
+            };
+            reactor.serve_loop(&listener, &reply_rx)
+            // `txs` drops here: the workers drain their queues and exit,
+            // and the scope joins them before anything below runs.
+        })?;
 
-    // Shard remainders exist only for streams that failed mid-flight
-    // (completed streams flush at their end frame); fold them before the
-    // caller takes the final snapshot.
-    for shard in &shards {
-        flush_shard(shard, prototype, coordinator)?;
+        // Shard remainders exist only for streams that failed mid-flight
+        // (completed streams flush at their end frame); fold them before
+        // the caller takes the final snapshot.
+        for shard in &shards {
+            flush_shard(shard, prototype, coordinator, &publish_tx)?;
+        }
+        Ok(())
+        // `publish_tx` drops here: the publisher writes what is queued and
+        // exits, and the scope joins it before `run` returns.
+    })
+}
+
+/// The publisher thread: write every envelope the serving path made due,
+/// in order, until every sender is gone.  A failed write is reported as a
+/// [`ServeEvent::SnapshotFailed`] and leaves the previous envelope on disk;
+/// the next due snapshot retries.
+fn publish_loop<S: ServableSketch>(
+    envelopes: Receiver<CheckpointEnvelope>,
+    coordinator: &MergeCoordinator<S>,
+    config: &ServeConfig,
+) {
+    for envelope in envelopes {
+        if let Err(e) = coordinator.publish(&envelope) {
+            config.emit(&ServeEvent::SnapshotFailed {
+                reason: e.to_string(),
+            });
+        }
     }
-    Ok(())
+}
+
+/// Hand a due snapshot envelope to the publisher thread.  The channel holds
+/// one envelope, so a sender waits only while the publisher is behind by a
+/// whole snapshot.
+fn publish_due(publish: &SyncSender<CheckpointEnvelope>, due: Option<CheckpointEnvelope>) {
+    if let Some(envelope) = due {
+        // An Err means the publisher is gone, which happens only if it
+        // panicked; the scope join surfaces that panic.
+        let _ = publish.send(envelope);
+    }
 }
 
 /// Take a shard's accumulator (swapping in a fresh prototype clone) and
@@ -219,13 +281,14 @@ pub(crate) fn run<S: ServableSketch>(
 /// another (a worker's stream end against a query's flush) waits for the
 /// other's merge to land instead of returning early on an empty shard, so
 /// the durable count read after any flush covers everything the shard had
-/// absorbed when the flush began.  A snapshot the merge made due is
-/// written after the fold lock drops, so a query's flush never waits on
-/// disk I/O.
+/// absorbed when the flush began.  A snapshot the merge made due goes to
+/// the publisher thread after the fold lock drops, so a query's flush never
+/// waits on another flush's hand-over, and nothing here waits on the disk.
 fn flush_shard<S: ServableSketch>(
     shard: &Shard<S>,
     prototype: &S,
     coordinator: &MergeCoordinator<S>,
+    publish: &SyncSender<CheckpointEnvelope>,
 ) -> Result<(), ServeError> {
     let due = {
         let _folding = shard.fold_lock.lock().expect("shard fold lock poisoned");
@@ -240,23 +303,106 @@ fn flush_shard<S: ServableSketch>(
         };
         coordinator.merge(&taken, pending)?.1
     };
-    coordinator.publish_due(due)
+    publish_due(publish, due);
+    Ok(())
+}
+
+/// The union of the batches a fold worker drains in one round, kept
+/// coalesced: one entry per distinct item in increasing item order, the
+/// form [`coalesce_into`] produces and every sketch's `update_batch`
+/// applies without coalescing again.  The buffers are reused across rounds,
+/// and the union never holds more entries than the distinct items of the
+/// drained batches.
+#[derive(Default)]
+struct Drain {
+    /// The coalesced union.
+    union: Vec<Update>,
+    /// Where the union and the next batch merge; swapped with `union`.
+    merged: Vec<Update>,
+    /// Coalescing scratch for one incoming batch.
+    scratch: Vec<Update>,
+    /// Raw updates absorbed this round: what the durable count advances by.
+    raw: u64,
+    /// Σ|δ| of the absorbed batches.  Kept at most `i64::MAX`, so no item's
+    /// total in the union can overflow.
+    magnitude: u64,
+}
+
+impl Drain {
+    /// Start a round with its first batch.
+    fn start(&mut self, updates: &[Update], magnitude: u64) {
+        self.union.clear();
+        self.raw = 0;
+        self.magnitude = 0;
+        self.absorb(updates, magnitude);
+    }
+
+    /// Whether a batch of Σ|δ| `magnitude` can join the union without its
+    /// Σ|δ| passing `i64::MAX`.
+    fn fits(&self, magnitude: u64) -> bool {
+        // Both terms are at most `i64::MAX`, so the sum cannot wrap.
+        self.magnitude + magnitude <= i64::MAX as u64
+    }
+
+    /// Coalesce one batch and merge it into the union.
+    fn absorb(&mut self, updates: &[Update], magnitude: u64) {
+        self.raw += updates.len() as u64;
+        self.magnitude += magnitude;
+        let batch = coalesce_into(updates, &mut self.scratch);
+        let union = &self.union;
+        let merged = &mut self.merged;
+        merged.clear();
+        let (mut i, mut j) = (0, 0);
+        while i < union.len() && j < batch.len() {
+            let (a, b) = (union[i], batch[j]);
+            match a.item.cmp(&b.item) {
+                Ordering::Less => {
+                    merged.push(a);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    merged.push(b);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    merged.push(Update::new(a.item, a.delta + b.delta));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        merged.extend_from_slice(&union[i..]);
+        merged.extend_from_slice(&batch[j..]);
+        std::mem::swap(&mut self.union, &mut self.merged);
+    }
 }
 
 /// One fold worker: absorb batches, resolve stream ends and failures, send
-/// replies back to the reactor.  With a shard (`MergeCompleted`), batches
-/// absorb into it and it folds once it holds at least `checkpoint_every`
-/// updates, on a query, or at a stream end.  Without one
-/// (`DiscardPartial`), each connection accumulates alone, folds once at its
-/// end frame, and is dropped on failure.  Exits when the reactor drops the
-/// sending half.
+/// replies back to the reactor.
+///
+/// A received batch opens a round: the worker also takes every batch
+/// already queued behind it for the same sketch, at most the channel depth
+/// of them, keeps their union coalesced ([`Drain`]) and applies it with one
+/// `update_batch`.  With a shard (`MergeCompleted`) every queued batch
+/// qualifies; without one (`DiscardPartial`) only the same connection's.
+/// The round stops at the first other message, which the worker handles
+/// next, so each connection's messages keep their order.  It also stops
+/// before the union's Σ|δ| would pass `i64::MAX`.
+///
+/// With a shard, the round's union absorbs into it, and only then does the
+/// worker check the cadence: it folds once the shard holds at least
+/// `checkpoint_every` updates, as well as on a query or at a stream end.
+/// Without one, each connection accumulates alone, folds once at its end
+/// frame, and is dropped on failure.  Due snapshots go to the publisher
+/// thread.  Exits when the reactor drops the sending half.
 fn worker_loop<S: ServableSketch>(
     rx: Receiver<WorkerMsg>,
     replies: mpsc::Sender<(u64, Response)>,
     shard: Option<Arc<Shard<S>>>,
     prototype: &S,
     coordinator: &MergeCoordinator<S>,
-    checkpoint_every: usize,
+    publish: SyncSender<CheckpointEnvelope>,
+    config: &ServeConfig,
 ) {
     // Per-connection accumulators; empty whenever the worker has a shard.
     struct ConnAcc<S> {
@@ -268,37 +414,69 @@ fn worker_loop<S: ServableSketch>(
         count: 0,
     };
     let mut conns: HashMap<u64, ConnAcc<S>> = HashMap::new();
-    let k = checkpoint_every as u64;
+    let k = config.checkpoint_every() as u64;
+    let drain_cap = config.pipeline().channel_depth();
+    let mut drain = Drain::default();
+    // A message taken while draining that ends the round; handled next.
+    let mut next: Option<WorkerMsg> = None;
 
-    while let Ok(msg) = rx.recv() {
+    while let Some(msg) = next.take().or_else(|| rx.recv().ok()) {
         match msg {
-            WorkerMsg::Batch { conn, updates } => match &shard {
-                Some(shard) => {
-                    let due = {
-                        let mut guard = shard.acc.lock().expect("shard lock poisoned");
-                        guard.sketch.update_batch(&updates);
-                        guard.pending += updates.len() as u64;
-                        guard.pending >= k
-                    };
-                    if due {
-                        if let Err(e) = flush_shard(shard, prototype, coordinator) {
-                            let _ = replies.send((conn, Response::Err(e.to_string())));
+            WorkerMsg::Batch {
+                conn,
+                updates,
+                magnitude,
+            } => {
+                drain.start(&updates, magnitude);
+                // The round holds coalesced updates only.
+                drop(updates);
+                for _ in 0..drain_cap {
+                    match rx.try_recv() {
+                        Ok(WorkerMsg::Batch {
+                            conn: queued,
+                            updates,
+                            magnitude,
+                        }) if (shard.is_some() || queued == conn) && drain.fits(magnitude) => {
+                            drain.absorb(&updates, magnitude);
                         }
+                        Ok(other) => {
+                            next = Some(other);
+                            break;
+                        }
+                        Err(_) => break,
                     }
                 }
-                None => {
-                    let st = conns.entry(conn).or_insert_with(fresh);
-                    st.acc.update_batch(&updates);
-                    st.count += updates.len() as u64;
+                match &shard {
+                    Some(shard) => {
+                        let due = {
+                            let mut guard = shard.acc.lock().expect("shard lock poisoned");
+                            guard.sketch.update_batch(&drain.union);
+                            guard.pending += drain.raw;
+                            guard.pending >= k
+                        };
+                        if due {
+                            if let Err(e) = flush_shard(shard, prototype, coordinator, &publish) {
+                                let _ = replies.send((conn, Response::Err(e.to_string())));
+                            }
+                        }
+                    }
+                    None => {
+                        let st = conns.entry(conn).or_insert_with(fresh);
+                        st.acc.update_batch(&drain.union);
+                        st.count += drain.raw;
+                    }
                 }
-            },
+            }
             WorkerMsg::End { conn } => {
                 let folded = match &shard {
-                    Some(shard) => flush_shard(shard, prototype, coordinator)
+                    Some(shard) => flush_shard(shard, prototype, coordinator, &publish)
                         .map(|()| coordinator.durable_count()),
                     None => {
                         let st = conns.remove(&conn).unwrap_or_else(fresh);
-                        coordinator.fold(&st.acc, st.count)
+                        coordinator.merge(&st.acc, st.count).map(|(durable, due)| {
+                            publish_due(&publish, due);
+                            durable
+                        })
                     }
                 };
                 match folded {
@@ -348,6 +526,7 @@ struct Reactor<'a, S: ServableSketch> {
     coordinator: &'a MergeCoordinator<S>,
     txs: &'a [SyncSender<WorkerMsg>],
     shards: &'a [Arc<Shard<S>>],
+    publish: &'a SyncSender<CheckpointEnvelope>,
     dispatch_at: usize,
     domain: u64,
     draining: bool,
@@ -725,7 +904,7 @@ impl<S: ServableSketch> Reactor<'_, S> {
     /// Fold every worker shard into the published serving state.
     fn flush_serving_state(&self) -> Result<(), ServeError> {
         for shard in self.shards {
-            flush_shard(shard, self.prototype, self.coordinator)?;
+            flush_shard(shard, self.prototype, self.coordinator, self.publish)?;
         }
         Ok(())
     }
@@ -780,17 +959,18 @@ impl<S: ServableSketch> Reactor<'_, S> {
             return Ok(());
         }
         let updates = std::mem::take(&mut conn.batch);
-        if check_delta_magnitudes(&updates).is_err() {
-            return Err(format!(
+        let magnitude = check_delta_magnitudes(&updates).map_err(|_| {
+            format!(
                 "rejected a batch of {} updates: its delta magnitudes sum past i64::MAX",
                 updates.len()
-            ));
-        }
+            )
+        })?;
         self.send(
             conn.worker,
             WorkerMsg::Batch {
                 conn: conn.id,
                 updates,
+                magnitude,
             },
         );
         Ok(())
@@ -819,18 +999,20 @@ mod tests {
     use gsum_core::{GSumConfig, OnePassGSumSketch};
     use gsum_gfunc::library::PowerFunction;
     use gsum_streams::StreamSink;
+    use gsum_streams::{Checkpoint, CheckpointError, MergeError, MergeableSketch, ShardedIngest};
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     const UPDATES: u64 = 100;
 
-    fn prototype() -> OnePassGSumSketch<PowerFunction> {
+    type Sketch = OnePassGSumSketch<PowerFunction>;
+
+    fn prototype() -> Sketch {
         let config = GSumConfig::with_space_budget(64, 0.25, 64, 11);
         OnePassGSumSketch::new(PowerFunction::new(2.0), &config)
     }
 
     /// A shard that has absorbed `UPDATES` updates not yet folded.
-    fn loaded_shard(
-        prototype: &OnePassGSumSketch<PowerFunction>,
-    ) -> Shard<OnePassGSumSketch<PowerFunction>> {
+    fn loaded_shard(prototype: &Sketch) -> Shard<Sketch> {
         let mut sketch = prototype.clone();
         let updates: Vec<Update> = (0..UPDATES).map(|i| Update::new(i % 64, 1)).collect();
         sketch.update_batch(&updates);
@@ -850,10 +1032,11 @@ mod tests {
         shard: &'s Shard<S>,
         prototype: &'s S,
         coordinator: &'s MergeCoordinator<S>,
+        publish: SyncSender<CheckpointEnvelope>,
     ) -> Receiver<()> {
         let (tx, rx) = mpsc::channel();
         scope.spawn(move || {
-            flush_shard(shard, prototype, coordinator).expect("flush");
+            flush_shard(shard, prototype, coordinator, &publish).expect("flush");
             tx.send(()).expect("test thread alive");
         });
         rx
@@ -865,6 +1048,8 @@ mod tests {
         let shard = loaded_shard(&prototype);
         let coordinator =
             MergeCoordinator::new(prototype.clone(), 0, 1 << 20, None).expect("coordinator");
+        // No checkpoint path: nothing is ever due, so nothing is published.
+        let (publish, _envelopes) = mpsc::sync_channel(1);
         // Stand in for another flush that has taken the accumulator and
         // not yet merged it: the shard reads empty, but its updates are
         // not durable.
@@ -875,7 +1060,7 @@ mod tests {
             (taken, std::mem::take(&mut guard.pending))
         };
         std::thread::scope(|scope| {
-            let flushed = spawn_flush(scope, &shard, &prototype, &coordinator);
+            let flushed = spawn_flush(scope, &shard, &prototype, &coordinator, publish);
             assert!(
                 flushed.recv_timeout(Duration::from_millis(200)).is_err(),
                 "a flush must not return while another fold of its shard is in flight"
@@ -889,8 +1074,12 @@ mod tests {
         });
     }
 
+    /// No serving thread writes snapshots: a fold that makes one due hands
+    /// it to the publisher and returns, and so does a query's flush, while
+    /// the publisher is held.  Once it is released, the envelope on disk is
+    /// durable through everything the fold merged.
     #[test]
-    fn flush_does_not_wait_on_a_snapshot_write() {
+    fn flushes_do_not_wait_on_the_publisher() {
         let prototype = prototype();
         let shard = loaded_shard(&prototype);
         let path = std::env::temp_dir().join(format!(
@@ -900,28 +1089,185 @@ mod tests {
         // A cadence of 1: the fold below makes a snapshot due.
         let coordinator = MergeCoordinator::new(prototype.clone(), 0, 1, Some(path.clone()))
             .expect("coordinator");
+        let config = ServeConfig::new();
+        let (publish, envelopes) = mpsc::sync_channel(1);
         std::thread::scope(|scope| {
-            let folded = coordinator.with_publisher_held(|| {
-                let folded = spawn_flush(scope, &shard, &prototype, &coordinator);
-                let merged_by = Instant::now() + Duration::from_secs(30);
-                while coordinator.durable_count() < UPDATES {
-                    assert!(Instant::now() < merged_by, "the fold never merged");
-                    std::thread::yield_now();
-                }
-                // The fold is now blocked on the snapshot write.  A query's
-                // flush of the same (now empty) shard must still return.
-                let queried = spawn_flush(scope, &shard, &prototype, &coordinator);
+            let publisher = scope.spawn(|| publish_loop(envelopes, &coordinator, &config));
+            coordinator.with_publisher_held(|| {
+                let folded = spawn_flush(scope, &shard, &prototype, &coordinator, publish.clone());
+                folded
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("a fold must not wait for its snapshot to be written");
+                assert_eq!(coordinator.durable_count(), UPDATES);
+                // A query's flush of the same (now empty) shard returns too.
+                let queried = spawn_flush(scope, &shard, &prototype, &coordinator, publish.clone());
                 queried
                     .recv_timeout(Duration::from_secs(30))
                     .expect("a query's flush must not wait for a snapshot write");
-                assert!(folded.try_recv().is_err(), "the snapshot write is held");
-                folded
+                assert_eq!(coordinator.stats().snapshots_written, 0);
             });
-            folded
-                .recv_timeout(Duration::from_secs(30))
-                .expect("the fold returns once the snapshot is written");
+            drop(publish);
+            publisher.join().expect("publisher");
         });
         assert_eq!(coordinator.stats().snapshots_written, 1);
+        let on_disk = CheckpointEnvelope::load(&path)
+            .expect("load")
+            .expect("the publisher wrote the envelope");
+        assert_eq!(on_disk.durable_count(), UPDATES);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A served sketch that counts its `update_batch` calls; clones share
+    /// the count, so it covers a shard's accumulator across takes.
+    #[derive(Clone)]
+    struct Counting {
+        inner: Sketch,
+        batches: Arc<AtomicUsize>,
+    }
+
+    impl Counting {
+        fn new(inner: Sketch) -> Self {
+            Self {
+                inner,
+                batches: Arc::new(AtomicUsize::new(0)),
+            }
+        }
+
+        fn batches(&self) -> usize {
+            self.batches.load(AtomicOrdering::SeqCst)
+        }
+    }
+
+    impl StreamSink for Counting {
+        fn update(&mut self, update: Update) {
+            self.inner.update(update);
+        }
+
+        fn update_batch(&mut self, updates: &[Update]) {
+            self.batches.fetch_add(1, AtomicOrdering::SeqCst);
+            self.inner.update_batch(updates);
+        }
+    }
+
+    impl MergeableSketch for Counting {
+        fn merge(&mut self, other: &Self) -> Result<(), MergeError> {
+            self.inner.merge(&other.inner)
+        }
+    }
+
+    impl Checkpoint for Counting {
+        fn save(&self, w: &mut impl std::io::Write) -> Result<(), CheckpointError> {
+            self.inner.save(w)
+        }
+
+        fn restore(r: &mut impl std::io::Read) -> Result<Self, CheckpointError> {
+            Ok(Self::new(Sketch::restore(r)?))
+        }
+    }
+
+    impl ServableSketch for Counting {
+        fn domain(&self) -> u64 {
+            self.inner.domain()
+        }
+
+        fn estimate(&self) -> f64 {
+            ServableSketch::estimate(&self.inner)
+        }
+
+        fn function_names(&self) -> Vec<String> {
+            ServableSketch::function_names(&self.inner)
+        }
+    }
+
+    /// Queue `batches` on connection 0, then its `End`, before a
+    /// `MergeCompleted` worker starts; run the worker to completion.
+    /// Returns the prototype (whose shared count saw every `update_batch`),
+    /// the coordinator, and the worker's replies.
+    fn drain_queued(
+        batches: &[Vec<Update>],
+    ) -> (Counting, MergeCoordinator<Counting>, Vec<(u64, Response)>) {
+        let prototype = Counting::new(prototype());
+        let coordinator =
+            MergeCoordinator::new(prototype.clone(), 0, 1 << 30, None).expect("coordinator");
+        let config = ServeConfig::new()
+            .with_policy(crate::ServePolicy::MergeCompleted)
+            .with_checkpoint_every(1 << 30)
+            .with_pipeline(ShardedIngest::new(1).with_channel_depth(batches.len() + 1));
+        let (tx, rx) = mpsc::sync_channel(batches.len() + 1);
+        for updates in batches {
+            let magnitude = check_delta_magnitudes(updates).expect("each batch is in range");
+            tx.send(WorkerMsg::Batch {
+                conn: 0,
+                updates: updates.clone(),
+                magnitude,
+            })
+            .expect("queue");
+        }
+        tx.send(WorkerMsg::End { conn: 0 }).expect("queue");
+        drop(tx);
+        let shard = Arc::new(Shard {
+            acc: Mutex::new(ShardAcc {
+                sketch: prototype.clone(),
+                pending: 0,
+            }),
+            fold_lock: Mutex::new(()),
+        });
+        let (replies_tx, replies) = mpsc::channel();
+        let (publish, _envelopes) = mpsc::sync_channel(1);
+        worker_loop(
+            rx,
+            replies_tx,
+            Some(shard),
+            &prototype,
+            &coordinator,
+            publish,
+            &config,
+        );
+        (prototype, coordinator, replies.try_iter().collect())
+    }
+
+    /// Checkpoint bytes of a single-threaded sketch fed `batches` one
+    /// `update_batch` at a time.
+    fn replay_bytes(batches: &[Vec<Update>]) -> Vec<u8> {
+        let mut single = prototype();
+        for updates in batches {
+            single.update_batch(updates);
+        }
+        single.to_checkpoint_bytes().expect("save")
+    }
+
+    #[test]
+    fn a_worker_applies_every_queued_batch_as_one_coalesced_batch() {
+        // Overlapping items across batches, cancelling deltas included.
+        let updates: Vec<Update> = (0..1000u64)
+            .map(|i| {
+                let item = if i % 3 == 0 { 5 } else { (i * 13 + i / 7) % 64 };
+                Update::new(item, if i % 4 == 0 { -2 } else { 1 + (i % 5) as i64 })
+            })
+            .collect();
+        let batches: Vec<Vec<Update>> = updates.chunks(97).map(<[_]>::to_vec).collect();
+        let total = updates.len() as u64;
+        let (prototype, coordinator, replies) = drain_queued(&batches);
+        assert_eq!(replies, vec![(0, Response::Ok(total))]);
+        assert_eq!(
+            prototype.batches(),
+            1,
+            "the queued batches must reach the sketch as one update_batch"
+        );
+        let folded = coordinator.snapshot().expect("snapshot");
+        assert_eq!(folded.durable_count(), total);
+        assert_eq!(folded.state_bytes(), replay_bytes(&batches).as_slice());
+    }
+
+    #[test]
+    fn a_worker_stops_draining_before_the_union_could_overflow() {
+        // Each batch passes the magnitude check alone; their union would
+        // hold item 7 at 2 · i64::MAX.
+        let batches = vec![vec![Update::new(7, i64::MAX)]; 2];
+        let (prototype, coordinator, replies) = drain_queued(&batches);
+        assert_eq!(replies, vec![(0, Response::Ok(2))]);
+        assert_eq!(prototype.batches(), 2, "the batches must be applied apart");
+        let folded = coordinator.snapshot().expect("snapshot");
+        assert_eq!(folded.state_bytes(), replay_bytes(&batches).as_slice());
     }
 }

@@ -80,12 +80,15 @@ impl ServeConfig {
         self
     }
 
-    /// Snapshot cadence, in updates: a [`CheckpointEnvelope`] is published
-    /// once at least this many updates have merged since the last one.
-    /// Under [`ServePolicy::MergeCompleted`] it is also the fold trigger: a
-    /// fold worker's shard folds into the serving state once it holds this
-    /// many unfolded updates (as well as on a query or at a stream's end),
-    /// so durable counts are in general not multiples of it.
+    /// Snapshot cadence, in updates: a [`CheckpointEnvelope`] is made due
+    /// once at least this many updates have merged since the last one, and
+    /// the server's publisher thread writes it.  The envelope on disk can
+    /// therefore trail the durable count an `OK` acknowledged by the one
+    /// snapshot in flight.  Under [`ServePolicy::MergeCompleted`] it is
+    /// also the fold trigger: a fold worker absorbs everything queued for
+    /// its shard, then folds the shard into the serving state once it holds
+    /// at least this many unfolded updates (as well as on a query or at a
+    /// stream's end), so durable counts are in general not multiples of it.
     ///
     /// # Panics
     /// Panics if `every == 0`; use
@@ -164,7 +167,8 @@ impl ServeConfig {
 
     /// Route serving-loop events ([`ServeEvent`]) through `observer`
     /// instead of the default stderr printer.  The callback runs on the
-    /// reactor thread: count, forward, return — never block.
+    /// reactor thread, and on the snapshot publisher thread for
+    /// [`ServeEvent::SnapshotFailed`]: count, forward, return — never block.
     pub fn with_observer(mut self, observer: impl Fn(&ServeEvent) + Send + Sync + 'static) -> Self {
         self.observer = Arc::new(observer);
         self
@@ -312,6 +316,11 @@ impl<S: ServableSketch> GsumServer<S> {
     /// pool; command lines answer from the published serving state.
     /// In-flight streams run to completion before a clean shutdown returns,
     /// and a final snapshot is published.
+    ///
+    /// While serving, a snapshot write that fails is reported as a
+    /// [`ServeEvent::SnapshotFailed`] and retried at the next due snapshot;
+    /// it fails neither a stream nor the server.  A failed final snapshot
+    /// is returned as the error.
     pub fn serve(&self, listener: TcpListener) -> Result<ServeSummary, ServeError> {
         reactor::run(&self.prototype, &self.config, &self.coordinator, listener)?;
         self.coordinator.snapshot()?;

@@ -46,18 +46,20 @@ pub fn coalesce_updates(updates: &[Update]) -> Vec<Update> {
     out
 }
 
-/// Check a batch against the turnstile model's magnitude promise: `Ok` when
-/// the batch's Σ|δ| is at most `i64::MAX`, otherwise `Err(item)` naming the
-/// update at which the running Σ|δ| first passes it.
+/// Check a batch against the turnstile model's magnitude promise:
+/// `Ok(Σ|δ|)` when the batch's Σ|δ| is at most `i64::MAX`, otherwise
+/// `Err(item)` naming the update at which the running Σ|δ| first passes it.
 ///
 /// Under that bound no summation order can overflow an item's `i64` total,
 /// so a batch that passes can be coalesced ([`coalesce_into`]) and applied
-/// by any worker without panicking (debug) or wrapping (release).  Updates
-/// that cross a trust boundary — a wire frame can legally carry any `i64`
-/// deltas — must pass this check before a sketch sees them; both
-/// [`ShardedIngest`](crate::ShardedIngest) and the serving reactor call it
-/// on every batch.
-pub fn check_delta_magnitudes(updates: &[Update]) -> Result<(), u64> {
+/// by any worker without panicking (debug) or wrapping (release).  The same
+/// holds for any union of checked batches whose returned sums add up to at
+/// most `i64::MAX`, which is how a worker that coalesces several batches
+/// into one decides where to stop.  Updates that cross a trust boundary — a
+/// wire frame can legally carry any `i64` deltas — must pass this check
+/// before a sketch sees them; both [`ShardedIngest`](crate::ShardedIngest)
+/// and the serving reactor call it on every batch.
+pub fn check_delta_magnitudes(updates: &[Update]) -> Result<u64, u64> {
     let mut sum = 0u64;
     for u in updates {
         // `sum ≤ i64::MAX` and `|δ| ≤ 2^63`, so the addition cannot wrap.
@@ -66,7 +68,7 @@ pub fn check_delta_magnitudes(updates: &[Update]) -> Result<(), u64> {
             return Err(u.item);
         }
     }
-    Ok(())
+    Ok(sum)
 }
 
 /// Whether a batch is already in coalesced form (strictly increasing item
@@ -279,15 +281,15 @@ mod tests {
 
     #[test]
     fn delta_magnitude_check_accepts_batches_up_to_the_bound() {
-        assert_eq!(check_delta_magnitudes(&[]), Ok(()));
+        assert_eq!(check_delta_magnitudes(&[]), Ok(0));
         let batch = [Update::new(5, 3), Update::new(1, -2), Update::new(5, -3)];
-        assert_eq!(check_delta_magnitudes(&batch), Ok(()));
+        assert_eq!(check_delta_magnitudes(&batch), Ok(8));
         // Σ|δ| = i64::MAX exactly is still in range.
         let edge = [Update::new(1, i64::MAX - 1), Update::new(2, -1)];
-        assert_eq!(check_delta_magnitudes(&edge), Ok(()));
+        assert_eq!(check_delta_magnitudes(&edge), Ok(i64::MAX as u64));
         assert_eq!(
             check_delta_magnitudes(&[Update::new(3, i64::MIN + 1)]),
-            Ok(())
+            Ok(i64::MAX as u64)
         );
     }
 

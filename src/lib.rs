@@ -280,13 +280,14 @@
 //! concurrent connections — excess clients get a typed `BUSY <max>` refusal
 //! to retry on, never a silently growing accept queue — and
 //! `with_observer` routes serving-loop events
-//! ([`ServeEvent`](prelude::ServeEvent): sheds, timeouts, stream failures)
-//! into telemetry instead of stderr.  A stream that dies mid-frame is
-//! resolved by the configured [`ServePolicy`](prelude::ServePolicy) —
-//! discarded whole, or merged up to its decoded prefix — and the serving
-//! state snapshots to a
+//! ([`ServeEvent`](prelude::ServeEvent): sheds, timeouts, stream failures,
+//! failed snapshot writes) into telemetry instead of stderr.  A stream that
+//! dies mid-frame is resolved by the configured
+//! [`ServePolicy`](prelude::ServePolicy) — discarded whole, or merged up to
+//! its decoded prefix — and the serving state snapshots to a
 //! [`CheckpointEnvelope`](prelude::CheckpointEnvelope) (state bytes bound to
-//! the durable update count, published atomically) every K merged updates.
+//! the durable update count, published atomically by a publisher thread)
+//! every K merged updates.
 //! Serving throughput numbers live in `BENCH_serve.json` (see
 //! `crates/bench/benches/bench_serve.rs`): connections/sec, concurrent
 //! ingest throughput, and p99 `EST`/`COUNT` latency — including, since

@@ -18,8 +18,9 @@
 //! stream acks that stay durable while queries flush the same shard, a
 //! stream of hostile deltas failing alone without taking the server down,
 //! a restart from a mid-stream envelope that replays the non-durable
-//! suffix back to the uninterrupted state, and a boot that refuses an
-//! envelope written by another prototype.
+//! suffix back to the uninterrupted state, a boot that refuses an
+//! envelope written by another prototype, and snapshot writes that fail
+//! while serving without failing a stream or the server.
 
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -157,11 +158,17 @@ fn holder(addr: SocketAddr) -> TcpStream {
             std::thread::sleep(Duration::from_millis(2));
             continue;
         };
-        writeln!(stream, "EST").expect("send");
         let mut line = String::new();
-        BufReader::new(stream.try_clone().expect("clone"))
-            .read_line(&mut line)
-            .expect("read");
+        // A shed connection closes with our `EST` unread, so the reset can
+        // wipe its BUSY line: a failed exchange is a shed too.
+        if writeln!(stream, "EST").is_err()
+            || BufReader::new(stream.try_clone().expect("clone"))
+                .read_line(&mut line)
+                .is_err()
+        {
+            std::thread::sleep(Duration::from_millis(2));
+            continue;
+        }
         match Response::parse(&line) {
             Ok(Response::Est { .. }) => return stream,
             Ok(Response::Busy(_)) | Err(_) => std::thread::sleep(Duration::from_millis(2)),
@@ -896,4 +903,80 @@ fn boot_rejects_an_envelope_from_another_prototype() {
     assert_eq!(server.durable_count(), 1);
     assert_eq!(server.estimate().to_bits(), written.estimate().to_bits());
     let _ = std::fs::remove_file(&path);
+}
+
+/// A snapshot write that fails while serving fails neither the stream that
+/// made it due nor the server.  The checkpoint path lies under a missing
+/// directory, so every write fails.  Each stream still gets `OK`, `EST`
+/// still answers, the observer sees `SnapshotFailed`, and only the final
+/// snapshot's failure reaches the caller: `QUIT` makes `serve` return an
+/// I/O error.
+#[test]
+fn a_failed_snapshot_write_fails_neither_the_stream_nor_the_server() {
+    const BOUND: Duration = Duration::from_secs(20);
+    const K: usize = 16;
+    let updates: Vec<Update> = (0..10 * K as u64)
+        .map(|i| Update::new(if i % 2 == 0 { HEAVY } else { i % DOMAIN }, 1))
+        .collect();
+    let path = std::env::temp_dir()
+        .join(format!("gsum_serve_missing_dir_{}", std::process::id()))
+        .join("state.ckpt");
+    for policy in POLICIES {
+        let failures = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&failures);
+        let config = ServeConfig::new()
+            .with_policy(policy)
+            .with_workers(1)
+            .with_checkpoint_every(K)
+            .with_pipeline(ShardedIngest::new(1).with_batch_size(K / 2))
+            .with_observer(move |event| {
+                if matches!(event, ServeEvent::SnapshotFailed { .. }) {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        let server = Arc::new(
+            GsumServer::boot(proto(HashBackend::Polynomial), config, Some(path.clone()))
+                .expect("boot"),
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let serving = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let _ = done_tx.send(serving.serve(listener));
+        });
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(BOUND)).expect("read timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut stream = stream;
+
+        for round in 1..=2u64 {
+            assert_eq!(
+                exchange(&mut stream, &mut reader, &encode_client(&updates, None)),
+                Response::Ok(round * updates.len() as u64),
+                "{policy:?}: a failed snapshot write must not fail the stream"
+            );
+            assert!(
+                matches!(
+                    exchange(&mut stream, &mut reader, b"EST\n"),
+                    Response::Est { .. }
+                ),
+                "{policy:?}: EST must still answer"
+            );
+        }
+        assert!(
+            failures.load(Ordering::SeqCst) > 0,
+            "{policy:?}: the failed writes must be observed"
+        );
+        assert_eq!(exchange(&mut stream, &mut reader, b"QUIT\n"), Response::Bye);
+        match done_rx
+            .recv_timeout(BOUND)
+            .expect("serve returns after QUIT")
+        {
+            Err(ServeError::Io(_)) => {}
+            Err(other) => panic!("{policy:?}: expected an I/O error, got {other}"),
+            Ok(_) => panic!("{policy:?}: the final snapshot cannot have been written"),
+        }
+        assert_eq!(server.durable_count(), 2 * updates.len() as u64);
+    }
 }
