@@ -255,13 +255,6 @@ impl GSumConfig {
         let lg = (64 - domain.max(2).leading_zeros()) as usize;
         (lg + 1).min(24)
     }
-
-    /// The per-level heaviness parameter `λ = ε² / log³ n` of Theorem 13
-    /// (floored to keep the candidate count finite).
-    pub fn lambda(&self) -> f64 {
-        let log_n = (self.domain.max(2) as f64).log2();
-        (self.epsilon * self.epsilon / log_n.powi(3)).max(1e-6)
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +268,6 @@ mod tests {
         assert_eq!(cfg.levels, 13 + 1);
         assert!(cfg.countsketch_columns <= 1 << 14);
         assert!(cfg.candidates_per_level >= 8);
-        assert!(cfg.lambda() > 0.0);
     }
 
     #[test]

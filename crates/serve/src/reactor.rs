@@ -42,6 +42,13 @@
 //!   durable count an `OK` acknowledged by the snapshot in flight.  A
 //!   failed write is a [`ServeEvent::SnapshotFailed`], not a failed stream
 //!   or a stopped server; the next due snapshot retries.
+//! * **Waking on work**: the std-only loop has no readiness syscall, so it
+//!   polls.  After a tick that made progress it keeps ticking, yielding the
+//!   CPU on idle ticks for [`IDLE_SLEEP`]; a request that follows a reply
+//!   is read without a timer's wait.  Past that window it blocks on the
+//!   worker reply channel, so an `OK` or `ERR` wakes it at once and a new
+//!   request waits at most [`IDLE_SLEEP`].  All ticks share one read
+//!   buffer.
 //!
 //! Hostile deltas are stopped at dispatch: a batch that fails
 //! [`check_delta_magnitudes`] (Σ|δ| past `i64::MAX`) fails its stream
@@ -62,7 +69,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -79,8 +86,14 @@ const READ_CHUNK: usize = 64 * 1024;
 /// connection can monopolize the loop.
 const READS_PER_TICK: usize = 4;
 
-/// Reactor sleep when a full tick made no progress (nothing readable,
-/// writable, or pending).
+/// How the reactor waits when a tick made no progress (nothing accepted,
+/// readable, writable or replied).  For `IDLE_SLEEP` after the last tick
+/// that made progress, each idle tick only yields the CPU, so a
+/// closed-loop client's next request is read as soon as it lands.  Past
+/// that window the reactor blocks on the reply channel for up to
+/// `IDLE_SLEEP`, so a worker's reply wakes it at once while a new request
+/// waits at most this long.  The window costs CPU: about `IDLE_SLEEP` of
+/// polling after every reply, read or accept.
 const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 /// A fold worker's shard.  Two locks with two jobs: `acc` guards the
@@ -167,6 +180,27 @@ impl Conn {
 
     fn mid_request(&self) -> bool {
         matches!(self.phase, Phase::Ingest(_) | Phase::AwaitReply)
+    }
+}
+
+/// Queue a worker's reply on its connection's write buffer.  A reply for a
+/// connection that is already gone is dropped.
+fn route_reply(conns: &mut HashMap<u64, Conn>, id: u64, response: &Response) {
+    let Some(conn) = conns.get_mut(&id) else {
+        return;
+    };
+    if matches!(response, Response::Err(_)) {
+        // A failed request poisons the connection: the framing can no
+        // longer be trusted.
+        conn.close_after_flush = true;
+    }
+    conn.outbuf
+        .extend_from_slice(response.to_string().as_bytes());
+    conn.outbuf.push(b'\n');
+    if matches!(conn.phase, Phase::AwaitReply) {
+        // Persistent connection: the next request (possibly already
+        // buffered in inbuf) may proceed.
+        conn.phase = Phase::Text;
     }
 }
 
@@ -544,6 +578,8 @@ impl<S: ServableSketch> Reactor<'_, S> {
         let mut next_id: u64 = 0;
         let timeout = self.config.client_read_timeout();
         let max_connections = self.config.max_connections();
+        let mut read_buf = vec![0u8; READ_CHUNK];
+        let mut last_progress = Instant::now();
 
         loop {
             let mut progress = false;
@@ -594,26 +630,12 @@ impl<S: ServableSketch> Reactor<'_, S> {
             // Route worker replies into their connections' write buffers.
             while let Ok((id, response)) = replies.try_recv() {
                 progress = true;
-                if let Some(conn) = conns.get_mut(&id) {
-                    if matches!(response, Response::Err(_)) {
-                        // A failed request poisons the connection: the
-                        // framing can no longer be trusted.
-                        conn.close_after_flush = true;
-                    }
-                    conn.outbuf
-                        .extend_from_slice(response.to_string().as_bytes());
-                    conn.outbuf.push(b'\n');
-                    if matches!(conn.phase, Phase::AwaitReply) {
-                        // Persistent connection: the next request (possibly
-                        // already buffered in inbuf) may proceed.
-                        conn.phase = Phase::Text;
-                    }
-                }
+                route_reply(&mut conns, id, &response);
             }
 
             // Per-connection I/O and state machines.
             for conn in conns.values_mut() {
-                progress |= self.step_conn(conn, now, timeout)?;
+                progress |= self.step_conn(conn, &mut read_buf, now, timeout)?;
             }
             conns.retain(|_, c| !c.dead);
 
@@ -628,8 +650,20 @@ impl<S: ServableSketch> Reactor<'_, S> {
                 }
             }
 
-            if !progress {
-                std::thread::sleep(IDLE_SLEEP);
+            if progress {
+                last_progress = now;
+            } else if now.duration_since(last_progress) < IDLE_SLEEP {
+                std::thread::yield_now();
+            } else {
+                // A reply taken here is routed before any later one, so
+                // each connection's replies keep their order.
+                match replies.recv_timeout(IDLE_SLEEP) {
+                    Ok((id, response)) => route_reply(&mut conns, id, &response),
+                    Err(RecvTimeoutError::Timeout) => {}
+                    // Every worker has panicked; the scope join surfaces
+                    // it.  Sleep so the loop does not spin meanwhile.
+                    Err(RecvTimeoutError::Disconnected) => std::thread::sleep(IDLE_SLEEP),
+                }
             }
         }
     }
@@ -639,6 +673,7 @@ impl<S: ServableSketch> Reactor<'_, S> {
     fn step_conn(
         &mut self,
         conn: &mut Conn,
+        buf: &mut [u8],
         now: Instant,
         timeout: Option<Duration>,
     ) -> Result<bool, ServeError> {
@@ -677,10 +712,9 @@ impl<S: ServableSketch> Reactor<'_, S> {
         // Read ready bytes — unless a reply is owed (ordering: buffered
         // pipelined requests wait their turn) or the connection is closing.
         if !conn.eof && !conn.close_after_flush && !matches!(conn.phase, Phase::AwaitReply) {
-            let mut buf = [0u8; READ_CHUNK];
             let mut reads = 0;
             loop {
-                match conn.stream.read(&mut buf) {
+                match conn.stream.read(buf) {
                     Ok(0) => {
                         conn.eof = true;
                         progress = true;

@@ -19,9 +19,13 @@
 //! stream of hostile deltas failing alone without taking the server down,
 //! a restart from a mid-stream envelope that replays the non-durable
 //! suffix back to the uninterrupted state, a boot that refuses an
-//! envelope written by another prototype, and snapshot writes that fail
-//! while serving without failing a stream or the server.
+//! envelope written by another prototype, snapshot writes that fail
+//! while serving without failing a stream or the server, and a test body
+//! that panics before its `QUIT` failing instead of hanging.
 
+mod common;
+
+use common::QuitOnDrop;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -255,6 +259,7 @@ proptest! {
                 std::thread::scope(|scope| {
                     let server = &server;
                     let handle = scope.spawn(move || server.serve(listener).expect("serve"));
+                    let quit = QuitOnDrop { addr, server: &handle };
 
                     // Force a deterministic shed: fill every connection
                     // slot, then watch one more connection get the typed
@@ -303,6 +308,7 @@ proptest! {
                         "EST must answer from exactly the reference state"
                     );
 
+                    drop(quit);
                     let summary = handle.join().expect("server thread");
                     prop_assert!(summary.clean_shutdown);
                     let cut_count = specs.iter().filter(|(_, c)| c.is_some()).count() as u64;
@@ -337,7 +343,10 @@ proptest! {
     }
 }
 
-/// Boot a default-config server and hand `(addr, join-me)` to the body.
+/// Boot a server, hand its address to the body, and join the server once
+/// the body returns.  The body must end with a `QUIT`; if it panics first,
+/// a [`QuitOnDrop`] guard shuts the server down so the test fails instead
+/// of hanging.
 fn with_server<T>(
     config: ServeConfig,
     body: impl FnOnce(SocketAddr) -> T,
@@ -352,10 +361,33 @@ fn with_server<T>(
     let (out, summary) = std::thread::scope(|scope| {
         let server = &server;
         let handle = scope.spawn(move || server.serve(listener).expect("serve"));
-        let out = body(addr);
+        let out = {
+            let _quit = QuitOnDrop {
+                addr,
+                server: &handle,
+            };
+            body(addr)
+        };
         (out, handle.join().expect("server thread"))
     });
     (out, summary, server)
+}
+
+/// A body that panics before its `QUIT`, here with a stream left half
+/// sent, fails the test: the guard in [`with_server`] shuts the server
+/// down, so the scope's join returns and the panic propagates.
+#[test]
+#[should_panic(expected = "the body failed before QUIT")]
+fn a_body_that_panics_before_quit_fails_instead_of_hanging() {
+    let updates: Vec<Update> = (0..100u64).map(|i| Update::new(i % DOMAIN, 1)).collect();
+    let bytes = encode_client(&updates, None);
+    with_server(ServeConfig::new(), |addr| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(&bytes[..bytes.len() / 2])
+            .expect("half a stream");
+        panic!("the body failed before QUIT");
+    });
 }
 
 /// A command line that arrives in two readiness events ("ES", pause, "T\n")

@@ -19,6 +19,9 @@
 //! connection, and the registry's composite checkpoint surviving a
 //! save → restore → query round trip.
 
+mod common;
+
+use common::QuitOnDrop;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -228,6 +231,7 @@ proptest! {
                 std::thread::scope(|scope| {
                     let server = &server;
                     let handle = scope.spawn(move || server.serve(listener).expect("serve"));
+                    let quit = QuitOnDrop { addr, server: &handle };
 
                     let verdicts: Vec<Response> = std::thread::scope(|clients| {
                         let handles: Vec<_> = specs
@@ -300,6 +304,7 @@ proptest! {
                         Response::Bye
                     );
 
+                    drop(quit);
                     let summary = handle.join().expect("server thread");
                     prop_assert!(summary.clean_shutdown);
                     Ok(())
